@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck fuzz-smoke bench-smoke bench-shard bench-wire loadgen-smoke ci
+.PHONY: all build test race cover lint fmt-check vet paylint lint-fixtures staticcheck govulncheck perfbench-test fuzz-smoke bench-smoke bench-shard bench-wire loadgen-smoke ci
 
 all: build test
 
@@ -15,6 +15,12 @@ build:
 
 test:
 	go test ./...
+
+# perfbench is a nested module, so `go vet ./...` and `go test ./...`
+# at the root never compile it; this builds and smoke-tests it against
+# the current checkout.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...
 
 race:
 	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/shard/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/
@@ -92,4 +98,4 @@ bench-shard:
 bench-wire:
 	go test -run xxx -bench . -benchtime 1000x -benchmem ./internal/wire/binary/
 
-ci: lint build test race fuzz-smoke bench-smoke loadgen-smoke
+ci: lint build test perfbench-test race fuzz-smoke bench-smoke loadgen-smoke

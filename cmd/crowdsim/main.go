@@ -54,19 +54,12 @@ func run(args []string, out io.Writer) error {
 		mobility  = fs.String("mobility", "stationary", "between-round movement: stationary | random-waypoint | levy-walk")
 		compare   = fs.Bool("compare", false, "run on-demand, fixed, steered and the SAT auction side by side")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); results are identical at any setting")
-		roundPar  = fs.Int("round-parallel", 1, "speculative solver goroutines within each round (0 = one per CPU, 1 = sequential); results are identical at any setting")
 		shards    = fs.Int("shards", 0, "geographic regions the round engine is partitioned into (0 = single engine); results are identical at any setting")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for beam and auto (0 = solver default)")
 		beamImpr  = fs.Int("beam-improve", 0, "beam 2-opt/or-opt polish rounds (0 = solver default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *roundPar < 0 {
-		return fmt.Errorf("round-parallel %d, want >= 0", *roundPar)
-	}
-	if *roundPar == 0 {
-		*roundPar = runtime.GOMAXPROCS(0)
 	}
 
 	mech, err := parseMechanism(*mechanism)
@@ -96,7 +89,6 @@ func run(args []string, out io.Writer) error {
 		ChurnRate:        *churn,
 		TimeBudgetJitter: *jitter,
 		Mobility:         mob,
-		RoundParallelism: *roundPar,
 		Shards:           *shards,
 		BeamWidth:        *beamWidth,
 		BeamImprove:      *beamImpr,
@@ -143,23 +135,6 @@ func run(args []string, out io.Writer) error {
 	}
 	summary := agg.Summary()
 
-	// Speculation diagnostics go to stderr so stdout stays byte-identical
-	// with a sequential run (they are engine health indicators, not
-	// campaign metrics).
-	if *roundPar > 1 {
-		var solves, replays int
-		for _, res := range results {
-			solves += res.SpeculativeSolves
-			replays += res.ConflictReplays
-		}
-		rate := 0.0
-		if solves > 0 {
-			rate = float64(replays) / float64(solves)
-		}
-		fmt.Fprintf(os.Stderr, "round-parallel=%d speculative-solves=%d conflict-replays=%d replay-rate=%.4f\n",
-			*roundPar, solves, replays, rate)
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -197,10 +172,12 @@ func run(args []string, out io.Writer) error {
 // of worker goroutines (0 = one per CPU, 1 = in the calling goroutine),
 // collecting results into index-ordered slots so aggregation order — and
 // therefore output — is independent of the worker count. The first error
-// cancels trials not yet started.
+// cancels trials not yet started. At least one trial is required: an
+// average over none would print every metric as zero, indistinguishable
+// from a campaign that collected nothing.
 func forEachTrial(trials, workers int, fn func(i int) (metrics.TrialResult, error)) ([]metrics.TrialResult, error) {
-	if trials < 0 {
-		return nil, fmt.Errorf("trials %d, want >= 0", trials)
+	if trials < 1 {
+		return nil, fmt.Errorf("trials %d, want >= 1", trials)
 	}
 	if workers < 0 {
 		return nil, fmt.Errorf("parallel %d, want >= 0", workers)

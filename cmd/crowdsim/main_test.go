@@ -121,22 +121,25 @@ func TestParseAlgorithmRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRunRoundParallelMatchesSequential(t *testing.T) {
-	args := []string{"-users", "30", "-tasks", "6", "-required", "2", "-trials", "2", "-rounds", "3", "-json"}
-	var seq strings.Builder
-	if err := run(append(args, "-round-parallel", "1"), &seq); err != nil {
-		t.Fatal(err)
-	}
-	var par strings.Builder
-	if err := run(append(args, "-round-parallel", "8"), &par); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("-round-parallel 8 output differs from -round-parallel 1:\npar:\n%s\nseq:\n%s",
-			par.String(), seq.String())
-	}
-	if err := run(append(args, "-round-parallel", "-2"), &seq); err == nil {
-		t.Error("negative -round-parallel accepted")
+// TestRunRejectsTooFewTrials pins that a run without trials is an error,
+// not a table (or JSON summary) of zeros that reads like a campaign that
+// collected nothing.
+func TestRunRejectsTooFewTrials(t *testing.T) {
+	base := []string{"-users", "20", "-tasks", "5", "-required", "3", "-rounds", "3"}
+	for _, extra := range [][]string{
+		{"-trials", "0"},
+		{"-trials", "0", "-json"},
+		{"-trials", "0", "-compare"},
+		{"-trials", "-1"},
+	} {
+		var sb strings.Builder
+		err := run(append(append([]string(nil), base...), extra...), &sb)
+		if err == nil {
+			t.Errorf("%v accepted", extra)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("%v printed output:\n%s", extra, sb.String())
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"paydemand/internal/experiments"
@@ -40,7 +39,6 @@ func run(args []string, out io.Writer) error {
 		csvDir    = fs.String("csv", "", "directory to also write <figure>.csv files into")
 		list      = fs.Bool("list", false, "list the available figure IDs and exit")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); output is identical at any setting")
-		roundPar  = fs.Int("round-parallel", 1, "speculative solver goroutines within each round (0 = one per CPU, 1 = sequential); output is identical at any setting")
 		shards    = fs.Int("shards", 0, "geographic regions the round engine is partitioned into (0 = single engine); output is identical at any setting")
 		progress  = fs.Bool("progress", false, "report completed/total trials on stderr while a figure runs")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for auto's mid band (0 = solver default)")
@@ -48,12 +46,6 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *roundPar < 0 {
-		return fmt.Errorf("round-parallel %d, want >= 0", *roundPar)
-	}
-	if *roundPar == 0 {
-		*roundPar = runtime.GOMAXPROCS(0)
 	}
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -85,12 +77,10 @@ func run(args []string, out io.Writer) error {
 		SeriesUsers: *users,
 		Parallelism: *parallel,
 	}
-	// Round-level speculation composes with trial-level parallelism: every
-	// runner builds its sim.Config from Base, so the knob flows to each
-	// figure without per-figure plumbing. The beam knobs ride the same
-	// path: dense figure sweeps (200+ users, many open tasks) push Auto
-	// into its beam band, and these tune it without touching the figures.
-	opts.Base.RoundParallelism = *roundPar
+	// Every runner builds its sim.Config from Base, so engine knobs flow
+	// to each figure without per-figure plumbing. Dense figure sweeps
+	// (200+ users, many open tasks) push Auto into its beam band, and the
+	// beam knobs tune it without touching the figures.
 	opts.Base.Shards = *shards
 	opts.Base.BeamWidth = *beamWidth
 	opts.Base.BeamImprove = *beamImpr

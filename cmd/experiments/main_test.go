@@ -107,25 +107,6 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestRunRoundParallelMatchesSequential(t *testing.T) {
-	args := []string{"-fig", "6a", "-trials", "2", "-plot=false"}
-	var seq strings.Builder
-	if err := run(append(args, "-round-parallel", "1"), &seq); err != nil {
-		t.Fatal(err)
-	}
-	var par strings.Builder
-	if err := run(append(args, "-round-parallel", "8"), &par); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("-round-parallel 8 output differs from -round-parallel 1:\npar:\n%s\nseq:\n%s",
-			par.String(), seq.String())
-	}
-	if err := run(append(args, "-round-parallel", "-1"), &seq); err == nil {
-		t.Error("negative -round-parallel accepted")
-	}
-}
-
 func TestRunRejectsNegativeTrials(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-fig", "6a", "-trials", "-3", "-plot=false"}, &sb); err == nil {

@@ -8,7 +8,7 @@
 // Three drivers sit on top of it:
 //
 //   - internal/sim drives it with simulated user agents (random acting
-//     order, speculative parallel selection, mobility, churn);
+//     order, mobility, churn);
 //   - internal/server drives it under a mutex from HTTP handlers, with
 //     workers registering, planning, and uploading over the wire;
 //   - internal/sat drives the snapshot/settle/stats stages around a
@@ -24,10 +24,9 @@
 // concurrent mutation: drivers serialize BeginRound/Reprice/Commit calls
 // (the simulator is single-threaded between rounds; the HTTP platform
 // holds its mutex). Read-only accessors, ProblemInto included, are safe
-// to call concurrently between mutations, which is what the simulator's
-// speculative workers do. Solvers that keep using a round's shared
-// context after the driver's lock is released must pin it with
-// HoldContext so the next reprice cannot recycle it underneath them.
+// to call concurrently between mutations. Solvers that keep using a
+// round's shared context after the driver's lock is released must pin it
+// with HoldContext so the next reprice cannot recycle it underneath them.
 package engine
 
 import (
@@ -102,7 +101,6 @@ type Engine struct {
 	grid      geo.GridIndex
 	viewBuf   []incentive.TaskView
 	taskLocs  []geo.Point
-	closed    []task.ID
 	in        incentive.RoundInput
 	bidBuf    []incentive.Bid
 	rewardBuf map[task.ID]float64
@@ -170,16 +168,15 @@ func (e *Engine) SetBoard(b *task.Board) {
 func (e *Engine) SetMechanism(m incentive.Mechanism) { e.cfg.Mechanism = m }
 
 // BeginRound starts round k: it unpublishes the previous round's rewards
-// and context, resets the closed-task set, and snapshots the tasks open
-// at k in board order. The returned slice is engine-owned scratch, valid
-// until the next BeginRound; it is the same slice Open returns.
+// and context and snapshots the tasks open at k in board order. The
+// returned slice is engine-owned scratch, valid until the next
+// BeginRound; it is the same slice Open returns.
 //
 //paylint:aliases open
 func (e *Engine) BeginRound(round int) []*task.State {
 	e.round = round
 	e.rewards = nil
 	e.mean = 0
-	e.closed = e.closed[:0]
 	e.releaseCurrent()
 	e.open = e.board.OpenAtInto(e.open, round)
 	return e.open
@@ -190,7 +187,6 @@ func (e *Engine) BeginRound(round int) []*task.State {
 func (e *Engine) Clear() {
 	e.rewards = nil
 	e.mean = 0
-	e.closed = e.closed[:0]
 	e.releaseCurrent()
 	e.open = e.open[:0]
 }
@@ -413,8 +409,7 @@ func (e *Engine) MeanPublishedReward() float64 { return e.mean }
 // published reward (zero if the task is unpriced, matching the candidate
 // sets ProblemInto builds without RequirePriced). Double-fill protection
 // is the board's: committing to a completed, expired, or
-// already-contributed task fails without mutating anything. A commit that
-// completes the task adds it to the round's closed set.
+// already-contributed task fails without mutating anything.
 func (e *Engine) Commit(user int, id task.ID) (reward float64, completed bool, err error) {
 	reward = e.rewards[id]
 	completed, err = e.CommitPaid(user, id, reward)
@@ -432,11 +427,7 @@ func (e *Engine) CommitPaid(user int, id task.ID, paid float64) (completed bool,
 	if err := st.Record(user, e.round, paid); err != nil {
 		return false, err
 	}
-	if st.Complete() {
-		e.closed = append(e.closed, id)
-		return true, nil
-	}
-	return false, nil
+	return st.Complete(), nil
 }
 
 // CommitPlan commits one user's planned route in order at this round's
@@ -454,15 +445,6 @@ func (e *Engine) CommitPlan(user int, ids []task.ID) (n int, err error) {
 	}
 	return len(ids), nil
 }
-
-// Closed returns the IDs of tasks filled to their requirement by commits
-// of the current round, in commit order — the conflict set a speculative
-// driver checks before trusting a plan solved against the round-start
-// snapshot. The slice is engine-owned scratch, valid until the next
-// BeginRound.
-//
-//paylint:aliases closed
-func (e *Engine) Closed() []task.ID { return e.closed }
 
 // StartRoundStats fills the snapshot-derived fields of a round record:
 // the round number, the open-task count, and the mean published reward.

@@ -105,17 +105,14 @@ func TestRoundPipeline(t *testing.T) {
 		t.Errorf("start stats = %+v", rs)
 	}
 
-	// Task 1 needs one measurement: the commit pays the published reward,
-	// completes the task, and lands in the closed set.
+	// Task 1 needs one measurement: the commit pays the published reward
+	// and completes the task.
 	reward, completed, err := e.Commit(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reward != 10 || !completed {
 		t.Errorf("commit = reward %v, completed %v", reward, completed)
-	}
-	if got := e.Closed(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("closed = %v", got)
 	}
 	// Double-fill protection: the same user again, then any user on the
 	// now-complete task.
@@ -134,14 +131,10 @@ func TestRoundPipeline(t *testing.T) {
 		t.Errorf("finish stats = %+v", rs)
 	}
 
-	// Next round: task 1 is complete and drops from the snapshot; the
-	// closed set resets.
+	// Next round: task 1 is complete and drops from the snapshot.
 	open = e.BeginRound(2)
 	if len(open) != 2 || open[0].ID != 2 || open[1].ID != 3 {
 		t.Fatalf("round 2 open = %v", open)
-	}
-	if len(e.Closed()) != 0 {
-		t.Error("closed set survived BeginRound")
 	}
 
 	var tr metrics.TrialResult

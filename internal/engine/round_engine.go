@@ -47,7 +47,6 @@ type RoundEngine interface {
 	Commit(user int, id task.ID) (reward float64, completed bool, err error)
 	CommitPaid(user int, id task.ID, paid float64) (completed bool, err error)
 	CommitPlan(user int, ids []task.ID) (n int, err error)
-	Closed() []task.ID
 
 	// Statistics.
 	StartRoundStats(rs *metrics.RoundStats)

@@ -69,13 +69,16 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 	}
 
 	var (
-		next      atomic.Int64 // next job index to claim
-		completed atomic.Int64 // successfully finished jobs
-		stop      atomic.Bool  // set on first failure; unclaimed jobs exit
+		next atomic.Int64 // next job index to claim
+		stop atomic.Bool  // set on first failure; unclaimed jobs exit
 
-		mu          sync.Mutex // guards firstErr/firstErrIdx and Progress calls
+		// mu guards firstErr/firstErrIdx and the done count, which is
+		// bumped and reported under one hold so Progress sees 1, 2, ...
+		// in order.
+		mu          sync.Mutex
 		firstErr    error
 		firstErrIdx = math.MaxInt
+		done        int
 
 		wg sync.WaitGroup
 	)
@@ -103,10 +106,10 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 					return
 				}
 				out[c][t] = v
-				n := int(completed.Add(1))
 				if o.Progress != nil {
 					mu.Lock()
-					o.Progress(n, total)
+					done++
+					o.Progress(done, total)
 					mu.Unlock()
 				}
 			}

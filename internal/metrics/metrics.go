@@ -36,18 +36,6 @@ type RoundStats struct {
 	MeanPublishedReward float64 `json:"mean_published_reward"`
 	// RoundProfit is the total profit earned by all users this round.
 	RoundProfit float64 `json:"round_profit"`
-
-	// SpeculativeSolves and ConflictReplays are diagnostics of the
-	// speculative parallel round engine: how many user selection problems
-	// were solved concurrently against the round-start snapshot, and how
-	// many had to be re-solved inline at commit time because an earlier
-	// commit filled a task in their candidate set. Both are zero on the
-	// sequential path. They are deliberately excluded from JSON: the
-	// engine's contract is that parallel and sequential runs produce
-	// byte-identical serialized output, and the replay count is a property
-	// of the execution strategy, not of the simulated system.
-	SpeculativeSolves int `json:"-"`
-	ConflictReplays   int `json:"-"`
 }
 
 // TrialResult is the outcome of one complete simulation run.
@@ -81,13 +69,6 @@ type TrialResult struct {
 	UserProfits []float64 `json:"user_profits"`
 	// AvgUserProfit is the mean of UserProfits.
 	AvgUserProfit float64 `json:"avg_user_profit"`
-
-	// SpeculativeSolves and ConflictReplays sum the per-round engine
-	// diagnostics of the same names (see RoundStats); like them they are
-	// excluded from JSON so parallel and sequential trial output stay
-	// byte-identical.
-	SpeculativeSolves int `json:"-"`
-	ConflictReplays   int `json:"-"`
 }
 
 // RoundAt returns the stats of the given 1-based round, or false if the

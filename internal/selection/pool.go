@@ -12,7 +12,7 @@ import "sync"
 //
 // Unlike sync.Pool the free list is never dropped by the garbage
 // collector: DP scratch at m near 20 is hundreds of megabytes, and
-// rebuilding it mid-simulation would erase the point of pooling.
+// rebuilding it mid-campaign would erase the point of pooling.
 type SolverPool struct {
 	newAlg func() Algorithm
 	mu     sync.Mutex

@@ -10,21 +10,6 @@ import (
 	"paydemand/internal/task"
 )
 
-func TestPlanTouches(t *testing.T) {
-	pl := Plan{Order: []task.ID{3, 7, 1}}
-	for _, id := range pl.Order {
-		if !pl.Touches(id) {
-			t.Errorf("Touches(%d) = false for a visited task", id)
-		}
-	}
-	if pl.Touches(2) {
-		t.Error("Touches(2) = true for an unvisited task")
-	}
-	if (Plan{}).Touches(3) {
-		t.Error("empty plan touches a task")
-	}
-}
-
 func TestSolverPoolRecycles(t *testing.T) {
 	built := 0
 	pool := NewSolverPool(func() Algorithm {

@@ -165,19 +165,6 @@ type Plan struct {
 // Empty reports whether the plan selects no tasks.
 func (pl Plan) Empty() bool { return len(pl.Order) == 0 }
 
-// Touches reports whether the plan visits the given task. Plans are short
-// (a handful of tasks within one travel budget), so a linear scan beats
-// any index. The speculative round engine uses it to detect plans whose
-// committed work an earlier user invalidated.
-func (pl Plan) Touches(id task.ID) bool {
-	for _, o := range pl.Order {
-		if o == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the number of selected tasks.
 func (pl Plan) Len() int { return len(pl.Order) }
 

@@ -26,9 +26,6 @@ func (s *Engine) CommitPaid(user int, id task.ID, paid float64) (completed bool,
 	r.mu.Lock()
 	completed, err = r.eng.CommitPaid(user, id, paid)
 	r.mu.Unlock()
-	if completed {
-		s.addClosed(id)
-	}
 	return completed, err
 }
 
@@ -84,13 +81,9 @@ func (s *Engine) CommitPlan(user int, ids []task.ID) (n int, err error) {
 	n = known
 	for i, id := range ids[:known] {
 		reward, _ := s.inner.RewardFor(id)
-		completed, cerr := s.regions[s.owner[id]].eng.CommitPaid(user, id, reward)
-		if cerr != nil {
+		if _, cerr := s.regions[s.owner[id]].eng.CommitPaid(user, id, reward); cerr != nil {
 			n, err = i, cerr
 			break
-		}
-		if completed {
-			s.addClosed(id)
 		}
 	}
 	for i := len(regs) - 1; i >= 0; i-- {
@@ -104,20 +97,3 @@ func (s *Engine) CommitPlan(user int, ids []task.ID) (n int, err error) {
 	}
 	return len(ids), nil
 }
-
-// addClosed appends a just-filled task to the round's closed set.
-func (s *Engine) addClosed(id task.ID) {
-	s.closedMu.Lock()
-	s.closed = append(s.closed, id)
-	s.closedMu.Unlock()
-}
-
-// Closed returns the IDs of tasks filled this round, in commit order —
-// identical semantics to engine.Closed (with a driver that serializes
-// commits, identical bytes too; concurrent committers see their commits
-// in lock-acquisition order). The slice is engine-owned scratch, valid
-// until the next BeginRound, and must not be read concurrently with
-// commits.
-//
-//paylint:aliases closed
-func (s *Engine) Closed() []task.ID { return s.closed }

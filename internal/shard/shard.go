@@ -47,9 +47,7 @@
 // sub-boards sharing the same *task.State values), so commits go through
 // the owning region's lock. Whole plans use CommitPlan's two-phase
 // protocol: acquire every owning region's lock in ascending region ID
-// (deadlock-free), replay the plan's commits in order, release. Drivers
-// keep the candidate-overlap replay discipline from the speculative
-// round work: Closed reports which tasks filled up this round.
+// (deadlock-free), replay the plan's commits in order, release.
 package shard
 
 import (
@@ -168,12 +166,6 @@ type Engine struct {
 	curLocs  []geo.Point
 	curViews []incentive.TaskView
 	nchunks  int
-
-	// closed is the round's filled-task set in commit order, exactly the
-	// semantics of engine.Closed: appended under closedMu because
-	// commits from different regions may run concurrently.
-	closedMu sync.Mutex
-	closed   []task.ID
 }
 
 var _ engine.RoundEngine = (*Engine)(nil)
@@ -293,7 +285,6 @@ func (s *Engine) Board() *task.Board { return s.board }
 // next.
 func (s *Engine) SetBoard(b *task.Board) {
 	s.inner.SetBoard(b)
-	s.closed = s.closed[:0]
 	s.bindBoard(b)
 }
 
@@ -307,7 +298,6 @@ func (s *Engine) SetMechanism(m incentive.Mechanism) {
 // concurrently. The returned slice is the inner engine's open snapshot
 // in global board order, valid until the next BeginRound.
 func (s *Engine) BeginRound(round int) []*task.State {
-	s.closed = s.closed[:0]
 	open := s.inner.BeginRound(round)
 	s.curRound = round
 	runParallel(s.workers, len(s.regions), s.beginFn)
@@ -316,7 +306,6 @@ func (s *Engine) BeginRound(round int) []*task.State {
 
 // Clear unpublishes everything on the inner engine and every region.
 func (s *Engine) Clear() {
-	s.closed = s.closed[:0]
 	s.inner.Clear()
 	for _, r := range s.regions {
 		r.eng.Clear()

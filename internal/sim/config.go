@@ -213,15 +213,12 @@ type Config struct {
 	// equilibrium after one round. Consumed by forecast-driven mechanisms
 	// (MechanismIncentMe); ignored otherwise.
 	MobilityUncertainty float64 `json:"mobility_uncertainty,omitempty"`
-	// RoundParallelism is the number of worker goroutines that solve the
-	// per-user task selection problems of one round concurrently. Zero or
-	// one runs the historical sequential loop. Higher values use the
-	// speculative engine: every user's problem is solved against the
-	// round-start snapshot in parallel, plans are committed in the usual
-	// random user order, and a user is re-solved inline only when an
-	// earlier commit filled a task in its candidate set — so results are
-	// byte-identical to the sequential loop at any setting (see DESIGN.md
-	// section 10).
+	// RoundParallelism once set how many goroutines solved one round's
+	// user selections ahead of their commit order. The simulator now runs
+	// every round's users sequentially and ignores it; results never
+	// depended on it. Negative values are still rejected.
+	//
+	// Deprecated: ignored by the simulator.
 	RoundParallelism int `json:"round_parallelism,omitempty"`
 	// Shards is the number of geographic regions the round engine is
 	// partitioned into. Zero keeps the historical single engine; any
@@ -346,7 +343,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: churn rate %v, want in [0, 1)", c.ChurnRate)
 	}
 	if c.RoundParallelism < 0 {
-		return fmt.Errorf("sim: round parallelism %d, want >= 0 (0 or 1 = sequential)", c.RoundParallelism)
+		return fmt.Errorf("sim: round parallelism %d, want >= 0 (the field is deprecated and ignored)", c.RoundParallelism)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("sim: shards %d, want >= 0 (0 = unsharded engine)", c.Shards)

@@ -8,65 +8,6 @@ import (
 	"paydemand/internal/workload"
 )
 
-// BenchmarkRunRoundParallel times whole rounds through the speculative
-// parallel engine over a users x tasks x workers grid. workers=1 is the
-// sequential loop (the PR 2 baseline); higher counts solve every user's
-// selection concurrently against the round-start snapshot and commit in
-// order, so on an n-core host the solver-dominated configurations (DP with
-// m near the task count, where one Select costs milliseconds) scale with
-// min(n, workers). Output is byte-identical at every worker count
-// (TestParallelRoundDeterminism).
-func BenchmarkRunRoundParallel(b *testing.B) {
-	const benchRounds = 3
-	grids := []struct {
-		alg          AlgorithmKind
-		users, tasks int
-	}{
-		// DP with m near 16: a single Select dominates round time, the
-		// best case for speculation.
-		{AlgorithmDP, 50, 16},
-		// Greedy at scale: cheap per-user solves, stressing engine
-		// overhead rather than solver parallelism.
-		{AlgorithmGreedy, 200, 40},
-		{AlgorithmAuto, 200, 20},
-	}
-	for _, g := range grids {
-		for _, workers := range []int{1, 2, 4, 8} {
-			name := fmt.Sprintf("%s/users=%d/tasks=%d/workers=%d", g.alg, g.users, g.tasks, workers)
-			b.Run(name, func(b *testing.B) {
-				cfg := Config{
-					Workload:         workload.Config{NumUsers: g.users, NumTasks: g.tasks},
-					Algorithm:        g.alg,
-					Rounds:           benchRounds,
-					RoundParallelism: workers,
-					// Scale the reward budget with the task count so every
-					// grid point can fund level-1 rewards.
-					Budget: 50 * float64(g.tasks),
-				}
-				sc, err := workload.Generate(stats.NewRNG(42), cfg.Workload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					s, err := NewFromScenario(cfg, sc, 7)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					for k := 1; k <= benchRounds; k++ {
-						if _, err := s.runRound(k, BaseObserver{}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkRunRound times the simulation's inner loop — one full sensing
 // round: reward update, per-user distributed selection, upload, and
 // bookkeeping — over a users x tasks grid. The scenario is generated once

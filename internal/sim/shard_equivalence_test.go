@@ -9,9 +9,7 @@ import (
 
 // TestShardedTrialDeterminism is the geo-sharded engine's end-to-end
 // golden test: trial JSON must be byte-identical between the historical
-// single engine (Shards=0) and the sharded engine at every region count,
-// crossed with round-level parallelism — sharding and speculation
-// compose without changing a byte.
+// single engine (Shards=0) and the sharded engine at every region count.
 func TestShardedTrialDeterminism(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -61,17 +59,14 @@ func TestShardedTrialDeterminism(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			base, _ := trialJSON(t, sc.cfg, 1717)
+			base := trialJSON(t, sc.cfg, 1717)
 			for _, shards := range []int{1, 2, 4} {
-				for _, workers := range []int{1, 8} {
-					cfg := sc.cfg
-					cfg.Shards = shards
-					cfg.RoundParallelism = workers
-					got, _ := trialJSON(t, cfg, 1717)
-					if !bytes.Equal(base, got) {
-						t.Errorf("shards=%d workers=%d: trial JSON differs from single engine (lens %d vs %d)",
-							shards, workers, len(got), len(base))
-					}
+				cfg := sc.cfg
+				cfg.Shards = shards
+				got := trialJSON(t, cfg, 1717)
+				if !bytes.Equal(base, got) {
+					t.Errorf("shards=%d: trial JSON differs from single engine (lens %d vs %d)",
+						shards, len(got), len(base))
 				}
 			}
 		})

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"paydemand/internal/agent"
 	"paydemand/internal/engine"
@@ -86,28 +84,6 @@ type Simulation struct {
 	// permBuf is the grow-only per-round user-order permutation buffer
 	// (filled by PermInto with the exact draws Perm used to make).
 	permBuf []int
-
-	// Speculative parallel round state (RoundParallelism > 1): the solver
-	// pool giving each worker goroutine its own scratch-owning Algorithm
-	// and the per-position speculation slots (each with its own grow-only
-	// candidate buffer so a speculative problem stays valid through its
-	// commit). The conflict set that triggers inline replays — the IDs of
-	// tasks filled by commits of the current round — is the engine's
-	// Closed set.
-	pool *selection.SolverPool
-	spec []speculation
-}
-
-// speculation is one user's concurrently solved selection for the current
-// round: the problem built against the round-start snapshot (over the
-// slot's own candidate buffer), the resulting plan, and any solver error
-// (surfaced at the user's commit position, exactly where the sequential
-// loop would have hit it).
-type speculation struct {
-	problem selection.Problem
-	cand    []selection.Candidate
-	plan    selection.Plan
-	err     error
 }
 
 // New generates a scenario from cfg.Workload with the given seed and
@@ -224,16 +200,6 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 		}
 		s.users[i] = u
 	}
-	if cfg.RoundParallelism > 1 {
-		s.pool = selection.NewSolverPool(func() selection.Algorithm {
-			a, err := cfg.buildAlgorithm()
-			if err != nil {
-				// Unreachable: the same configuration built s.alg above.
-				panic(err)
-			}
-			return a
-		})
-	}
 	return s, nil
 }
 
@@ -299,8 +265,6 @@ func (s *Simulation) Run(obs Observer) (metrics.TrialResult, error) {
 		}
 		result.Rounds = append(result.Rounds, rs)
 		result.RoundsRun = k
-		result.SpeculativeSolves += rs.SpeculativeSolves
-		result.ConflictReplays += rs.ConflictReplays
 	}
 
 	s.eng.FinishTrial(&result)
@@ -317,7 +281,7 @@ func (s *Simulation) Run(obs Observer) (metrics.TrialResult, error) {
 // distributed selection, upload, and bookkeeping. The engine runs the
 // shared platform pipeline (snapshot, reprice, commit, stats); this
 // driver owns what is simulation-specific — user agents, acting order,
-// speculation, mobility, churn.
+// mobility, churn.
 func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 	rs := metrics.RoundStats{Round: k}
 
@@ -389,49 +353,14 @@ func (s *Simulation) runRound(k int, obs Observer) (metrics.RoundStats, error) {
 }
 
 // runUsers executes the distributed-selection half of one round: each user
-// in perm order solves its selection problem and commits the resulting
-// plan (records, profit, movement, idle-time bookkeeping).
-//
-// With RoundParallelism <= 1 this is the historical sequential loop. Above
-// that it becomes a speculate/commit protocol: every user's problem is
-// solved concurrently against the round-start snapshot (phase A, no board
-// mutation), then plans are committed one by one in the same perm order
-// (phase B). The only way an earlier commit can change a later user's
-// problem is by filling a task to its phi cap — closing it — so a user is
-// re-solved inline at its commit position exactly when a task filled
-// earlier this round was still in its candidate set; otherwise its
-// speculative problem equals the problem the sequential loop would have
-// built, and the speculative plan (and even the speculative solver error)
-// is byte-identical to the sequential outcome. Note the trigger is
-// candidate overlap, not Plan.Touches overlap: a solver may legitimately
-// depend on candidates it does not select (Auto dispatches DP vs greedy on
-// the reachable-candidate count), so an untouched-but-selectable closed
-// task still forces a replay.
+// in perm order solves its selection problem against the board as the
+// users before it left it, and commits the resulting plan (records,
+// profit, movement, idle-time bookkeeping).
 func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.RoundStats, idle []float64) error {
-	parallel := s.pool != nil && len(perm) > 1
-	if parallel {
-		s.speculate(perm)
-		rs.SpeculativeSolves = len(perm)
-	}
-	for pos, ui := range perm {
+	for _, ui := range perm {
 		u := s.users[ui]
-		var problem selection.Problem
-		var plan selection.Plan
-		var err error
-		if parallel && !s.invalidated(u) {
-			sp := &s.spec[pos]
-			problem, plan, err = sp.problem, sp.plan, sp.err
-		} else {
-			// Sequential mode — or an earlier commit closed a task this
-			// user could still have selected: solve against the current
-			// board state, exactly as the sequential loop would at this
-			// position.
-			problem = s.problemFor(u)
-			plan, err = s.alg.Select(problem)
-			if parallel {
-				rs.ConflictReplays++
-			}
-		}
+		problem := s.problemFor(u)
+		plan, err := s.alg.Select(problem)
 		if err != nil {
 			return fmt.Errorf("user %d: %w", u.ID, err)
 		}
@@ -466,84 +395,20 @@ func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.Round
 	return nil
 }
 
-// speculate solves every user's current-round selection problem
-// concurrently against the round-start snapshot, filling s.spec by perm
-// position. The engine is only read during this phase (ProblemInto is a
-// read-only accessor), so the only mutable state a worker touches is its
-// own pooled solver and its positions' speculation slots.
-func (s *Simulation) speculate(perm []int) {
-	n := len(perm)
-	if len(s.spec) < n {
-		s.spec = append(s.spec, make([]speculation, n-len(s.spec))...)
-	}
-	spec := s.spec[:n]
-	workers := s.cfg.RoundParallelism
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			alg := s.pool.Get()
-			defer s.pool.Put(alg)
-			for {
-				pos := int(next.Add(1))
-				if pos >= n {
-					return
-				}
-				sp := &spec[pos]
-				u := s.users[perm[pos]]
-				sp.problem, sp.cand = s.problemForInto(u, sp.cand)
-				sp.plan, sp.err = alg.Select(sp.problem)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// invalidated reports whether any task filled by an earlier commit of this
-// round was still selectable by u at the round-start snapshot — in which
-// case u's speculative problem is stale and must be re-solved. The user's
-// own contribution state cannot have changed (each user commits once per
-// round), so checking it now is equivalent to checking it at snapshot
-// time. Tasks a user already contributed to were never its candidates and
-// never invalidate it, which keeps replays rare outside pathological
-// contention.
-func (s *Simulation) invalidated(u *agent.User) bool {
-	for _, id := range s.eng.Closed() {
-		if !s.board.Get(id).Contributed(u.ID) && !u.HasDone(id) {
-			return true
-		}
-	}
-	return false
-}
-
 // problemFor assembles one user's selection problem for the current round
 // over the shared s.candBuf scratch (see Observer.UserPlanned for the
 // resulting aliasing rules). The engine supplies the round-dependent half
 // — candidates in board order, this round's prices, the shared solver
 // context — so the simulation is deterministic under a seed.
 func (s *Simulation) problemFor(u *agent.User) selection.Problem {
-	p, buf := s.problemForInto(u, s.candBuf)
-	s.candBuf = buf
-	return p
-}
-
-// problemForInto is problemFor over a caller-owned candidate buffer,
-// returning the (possibly re-grown) buffer. The speculative workers use
-// it with per-position buffers so every user's problem of a round can be
-// alive at once; the sequential path passes the shared s.candBuf scratch.
-func (s *Simulation) problemForInto(u *agent.User, buf []selection.Candidate) (selection.Problem, []selection.Candidate) {
-	return s.eng.ProblemInto(engine.Spec{
+	var p selection.Problem
+	p, s.candBuf = s.eng.ProblemInto(engine.Spec{
 		Start:           u.Location,
 		MaxDistance:     u.MaxTravelDistance(),
 		CostPerMeter:    u.CostPerMeter,
 		PerTaskDistance: s.cfg.SensingTime * u.Speed,
-	}, u, buf)
+	}, u, s.candBuf)
+	return p
 }
 
 // Run is a convenience that builds and runs a simulation in one call.
