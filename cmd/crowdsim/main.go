@@ -54,7 +54,6 @@ func run(args []string, out io.Writer) error {
 		mobility  = fs.String("mobility", "stationary", "between-round movement: stationary | random-waypoint | levy-walk")
 		compare   = fs.Bool("compare", false, "run on-demand, fixed, steered and the SAT auction side by side")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); results are identical at any setting")
-		shards    = fs.Int("shards", 0, "geographic regions the round engine is partitioned into (0 = single engine); results are identical at any setting")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for beam and auto (0 = solver default)")
 		beamImpr  = fs.Int("beam-improve", 0, "beam 2-opt/or-opt polish rounds (0 = solver default)")
 	)
@@ -89,7 +88,6 @@ func run(args []string, out io.Writer) error {
 		ChurnRate:        *churn,
 		TimeBudgetJitter: *jitter,
 		Mobility:         mob,
-		Shards:           *shards,
 		BeamWidth:        *beamWidth,
 		BeamImprove:      *beamImpr,
 	}

@@ -39,7 +39,6 @@ func run(args []string, out io.Writer) error {
 		csvDir    = fs.String("csv", "", "directory to also write <figure>.csv files into")
 		list      = fs.Bool("list", false, "list the available figure IDs and exit")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); output is identical at any setting")
-		shards    = fs.Int("shards", 0, "geographic regions the round engine is partitioned into (0 = single engine); output is identical at any setting")
 		progress  = fs.Bool("progress", false, "report completed/total trials on stderr while a figure runs")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for auto's mid band (0 = solver default)")
 		beamImpr  = fs.Int("beam-improve", 0, "beam 2-opt/or-opt polish rounds (0 = solver default)")
@@ -81,7 +80,6 @@ func run(args []string, out io.Writer) error {
 	// to each figure without per-figure plumbing. Dense figure sweeps
 	// (200+ users, many open tasks) push Auto into its beam band, and the
 	// beam knobs tune it without touching the figures.
-	opts.Base.Shards = *shards
 	opts.Base.BeamWidth = *beamWidth
 	opts.Base.BeamImprove = *beamImpr
 	for _, id := range ids {

@@ -59,7 +59,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		mobUncert  = fs.Float64("mobility-uncertainty", 0, "mobility forecast uncertainty in [0,1] (feeds incentme)")
 		roundEvery = fs.Duration("round-every", 2*time.Second, "auto-advance cadence (0 = manual via POST /v1/advance)")
 		maxRounds  = fs.Int("max-rounds", 0, "round horizon (0 = largest deadline)")
-		shards     = fs.Int("shards", 0, "geographic regions the round engine is partitioned into (0 = single engine); results are identical at any setting")
 		statePath  = fs.String("state", "", "snapshot file: loaded at startup if present, written at shutdown (resumes campaigns across restarts)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -114,7 +113,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Area:           sc.Area,
 		NeighborRadius: *radius,
 		MaxRounds:      *maxRounds,
-		Shards:         *shards,
 		Logger:         logger,
 		RNG:            rng.Split(),
 		Budget:         *budget,

@@ -196,10 +196,11 @@ func (e *Engine) Clear() {
 // consults the mechanism, computes the mean published reward (summing in
 // board order — float addition is not associative), validates the
 // rewards, and rebuilds the shared solver context over the open task
-// locations. With no open tasks it publishes nothing and returns nil
-// without consulting the mechanism. On error nothing stays published:
-// a driver that keeps serving after a failed reprice serves no prices
-// rather than the previous round's.
+// locations. userLocs is in user order; it also feeds bid construction
+// for mechanisms that declare the bids capability. With no open tasks it
+// publishes nothing and returns nil without consulting the mechanism. On
+// error nothing stays published: a driver that keeps serving after a
+// failed reprice serves no prices rather than the previous round's.
 func (e *Engine) Reprice(userLocs []geo.Point) error {
 	if len(e.open) == 0 {
 		return nil
@@ -207,38 +208,12 @@ func (e *Engine) Reprice(userLocs []geo.Point) error {
 	if e.cfg.Mechanism == nil {
 		return errors.New("engine: reprice without a mechanism")
 	}
-	views, err := e.NeighborViews(userLocs)
+	views, err := e.neighborViews(userLocs)
 	if err != nil {
 		return err
 	}
-	return e.RepriceViews(views, userLocs)
-}
-
-// RepriceViews is the pricing half of Reprice over caller-supplied task
-// views: mechanism input assembly, mechanism consultation, board-order
-// mean, reward validation, shared-context rebuild, publication. views must
-// hold one entry per open-snapshot task, in board order — normally the
-// slice NeighborViews returned, but the geo-sharded engine builds it by
-// merging per-region neighbor counts so pricing still happens once,
-// globally (the demand normalization of Eq. 5 couples every task through
-// the max neighbor count, so pricing cannot be sharded without changing
-// output). userLocs is the round's full user-location slice in user order;
-// it feeds bid construction for mechanisms that declare the bids
-// capability and may be nil otherwise. The sharded engine passes the same
-// global slice it partitioned, so assembled inputs — bid workers, costs,
-// ordering — are byte-identical to the unsharded engine's.
-func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) error {
-	if len(e.open) == 0 {
-		return nil
-	}
-	if e.cfg.Mechanism == nil {
-		return errors.New("engine: reprice without a mechanism")
-	}
 	if err := e.checkCapabilities(); err != nil {
 		return err
-	}
-	if len(views) != len(e.open) {
-		return fmt.Errorf("engine: %d views for %d open tasks", len(views), len(e.open))
 	}
 	// Assemble exactly the inputs the mechanism declares. The RoundInput
 	// and the reward map are engine-owned scratch recycled every round;
@@ -309,17 +284,12 @@ func (e *Engine) RepriceViews(views []incentive.TaskView, userLocs []geo.Point) 
 	return nil
 }
 
-// NeighborViews builds the mechanism's per-task observations for the
+// neighborViews builds the mechanism's per-task observations for the
 // current open snapshot, counting each task's neighboring users with the
-// reusable grid index over the given user locations. It is the geometric
-// half of Reprice, exported so the geo-sharded engine can run it
-// per-region (each region calls it on its halo-mirrored user set) before
-// pricing globally with RepriceViews. The returned slice is engine-owned
-// scratch, valid until the next NeighborViews/Reprice (mechanisms consume
-// it synchronously inside Rewards).
-//
-//paylint:aliases viewBuf
-func (e *Engine) NeighborViews(userLocs []geo.Point) ([]incentive.TaskView, error) {
+// reusable grid index over the given user locations. The returned slice
+// is engine-owned scratch, valid until the next Reprice (mechanisms
+// consume it synchronously inside RewardsInto).
+func (e *Engine) neighborViews(userLocs []geo.Point) ([]incentive.TaskView, error) {
 	if err := e.grid.Reset(e.cfg.Area, e.cfg.NeighborRadius, userLocs); err != nil {
 		return nil, err
 	}
@@ -433,10 +403,7 @@ func (e *Engine) CommitPaid(user int, id task.ID, paid float64) (completed bool,
 // CommitPlan commits one user's planned route in order at this round's
 // published rewards. It returns the number of tasks committed; on error
 // n < len(ids) and the failing task is ids[n] (nothing after it was
-// attempted, matching a driver's sequential per-task loop). The
-// geo-sharded engine overrides this with a two-phase cross-shard commit;
-// drivers that commit whole plans should use it rather than looping over
-// Commit so they get shard atomicity for free.
+// attempted, matching a driver's sequential per-task loop).
 func (e *Engine) CommitPlan(user int, ids []task.ID) (n int, err error) {
 	for i, id := range ids {
 		if _, _, err := e.Commit(user, id); err != nil {

@@ -196,6 +196,68 @@ func TestProblemIntoFiltering(t *testing.T) {
 	}
 }
 
+// TestCommitPlan pins CommitPlan's error contract: tasks commit in plan
+// order, n counts the committed prefix, and on error ids[n] is the task
+// that failed with nothing after it attempted.
+func TestCommitPlan(t *testing.T) {
+	board, err := task.NewBoard([]task.Task{
+		{ID: 1, Location: geo.Pt(100, 100), Deadline: 9, Required: 1},
+		{ID: 2, Location: geo.Pt(900, 100), Deadline: 9, Required: 2},
+		{ID: 3, Location: geo.Pt(100, 900), Deadline: 9, Required: 1},
+		{ID: 4, Location: geo.Pt(900, 900), Deadline: 9, Required: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t, Config{
+		Board:     board,
+		Mechanism: stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30, 4: 40}},
+		Area:      geo.Square(1000), NeighborRadius: 100,
+	})
+	e.BeginRound(1)
+	if err := e.Reprice(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// A whole plan commits; tasks 1 and 3 complete on one measurement.
+	if n, err := e.CommitPlan(7, []task.ID{3, 1, 4, 2}); n != 4 || err != nil {
+		t.Fatalf("CommitPlan = %d, %v; want 4, nil", n, err)
+	}
+	for _, id := range []task.ID{1, 3} {
+		if !board.Get(id).Complete() {
+			t.Errorf("task %d not complete after its one measurement", id)
+		}
+	}
+	if paid := board.TotalRewardPaid(); paid != 100 {
+		t.Errorf("total paid = %v, want 100", paid)
+	}
+
+	// Unknown task mid-plan: the prefix before it commits, n is its index,
+	// and the task after it is not attempted.
+	n, err := e.CommitPlan(8, []task.ID{2, 99, 4})
+	if n != 1 || err == nil {
+		t.Fatalf("CommitPlan with unknown task = %d, %v; want 1, error", n, err)
+	}
+	if want := "engine: commit to unknown task 99"; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+	if !board.Get(2).Complete() {
+		t.Error("prefix before the unknown task was not committed")
+	}
+	if got := board.Get(4).Received(); got != 1 {
+		t.Errorf("task 4 received %d after the failed plan, want 1 (not attempted)", got)
+	}
+
+	// Double fill: user 7 already measured task 4, so the plan fails at
+	// position 0 and pays nothing.
+	if n, err := e.CommitPlan(7, []task.ID{4}); n != 0 || err == nil {
+		t.Fatalf("repeat commit = %d, %v; want 0, error", n, err)
+	}
+	if paid := board.TotalRewardPaid(); paid != 120 {
+		t.Errorf("total paid = %v, want 120", paid)
+	}
+}
+
 func TestRepriceErrors(t *testing.T) {
 	board := testBoard(t)
 	area := geo.Square(1000)

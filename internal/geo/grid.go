@@ -121,39 +121,6 @@ func (g *GridIndex) WithinInto(dst []int, center Point, r float64) []int {
 	return dst
 }
 
-// Nearest returns the index of the indexed point nearest to center and its
-// distance. ok is false if the index is empty.
-func (g *GridIndex) Nearest(center Point) (idx int, dist float64, ok bool) {
-	if len(g.pts) == 0 {
-		return 0, 0, false
-	}
-	// Expand ring by ring until a hit is found, then one more ring to be
-	// exact (a nearer point may live in an adjacent ring). The search
-	// radius must reach the far corner of the grid even when the query
-	// point lies outside the bounds.
-	best := -1
-	bestD := math.Inf(1)
-	maxR := g.bounds.Diagonal() + center.Dist(g.bounds.Clamp(center)) + 2*g.cellSize
-	for r := g.cellSize; ; r += g.cellSize {
-		g.forEachCandidate(center, r, func(i int) {
-			if d := g.pts[i].Dist(center); d < bestD {
-				bestD = d
-				best = i
-			}
-		})
-		if best >= 0 && bestD <= r {
-			return best, bestD, true
-		}
-		if r > maxR {
-			// Everything has been scanned.
-			if best < 0 {
-				return 0, 0, false
-			}
-			return best, bestD, true
-		}
-	}
-}
-
 // forEachCandidate invokes fn for every point index in cells overlapping the
 // disk of radius r around center. Points may be reported that are outside
 // the disk; callers must re-check distances.

@@ -96,54 +96,6 @@ func TestGridIndexPointsOutsideBounds(t *testing.T) {
 	}
 }
 
-func TestGridIndexNearest(t *testing.T) {
-	pts := []Point{Pt(10, 10), Pt(90, 90), Pt(40, 40)}
-	g, err := NewGridIndex(Square(100), 10, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, dist, ok := g.Nearest(Pt(35, 35))
-	if !ok || idx != 2 {
-		t.Fatalf("Nearest = %d, %v, %v; want idx 2", idx, dist, ok)
-	}
-}
-
-func TestGridIndexNearestMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	bounds := Square(1000)
-	pts := randomPoints(rng, 200, bounds)
-	g, err := NewGridIndex(bounds, 50, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		idx, dist, ok := g.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest reported empty index")
-		}
-		bestD := -1.0
-		for _, p := range pts {
-			if d := p.Dist(q); bestD < 0 || d < bestD {
-				bestD = d
-			}
-		}
-		if dist != bestD {
-			t.Fatalf("Nearest dist = %v (idx %d), brute = %v", dist, idx, bestD)
-		}
-	}
-}
-
-func TestGridIndexNearestEmpty(t *testing.T) {
-	g, err := NewGridIndex(Square(100), 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := g.Nearest(Pt(5, 5)); ok {
-		t.Error("Nearest on empty index reported ok")
-	}
-}
-
 func TestGridIndexLen(t *testing.T) {
 	g, err := NewGridIndex(Square(100), 10, []Point{Pt(1, 1), Pt(2, 2)})
 	if err != nil {
@@ -151,24 +103,6 @@ func TestGridIndexLen(t *testing.T) {
 	}
 	if g.Len() != 2 {
 		t.Errorf("Len = %d, want 2", g.Len())
-	}
-}
-
-func TestGridIndexNearestFromOutsideBounds(t *testing.T) {
-	pts := []Point{Pt(10, 10), Pt(90, 90)}
-	g, err := NewGridIndex(Square(100), 10, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query origin far outside the grid: ring expansion must still find
-	// the true nearest point.
-	idx, dist, ok := g.Nearest(Pt(-500, -500))
-	if !ok || idx != 0 {
-		t.Fatalf("Nearest outside bounds = %d, %v, %v", idx, dist, ok)
-	}
-	want := Pt(10, 10).Dist(Pt(-500, -500))
-	if dist != want {
-		t.Errorf("dist = %v, want %v", dist, want)
 	}
 }
 

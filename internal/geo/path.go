@@ -79,15 +79,3 @@ func (p Path) Truncate(maxDist float64) Path {
 	}
 	return out
 }
-
-// TourLength returns the length of the open tour that starts at start and
-// visits each point of order in sequence. An empty order yields 0.
-func TourLength(start Point, order []Point) float64 {
-	total := 0.0
-	cur := start
-	for _, pt := range order {
-		total += cur.Dist(pt)
-		cur = pt
-	}
-	return total
-}

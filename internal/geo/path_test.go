@@ -107,14 +107,3 @@ func TestPathTruncateLengthProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestTourLength(t *testing.T) {
-	start := Pt(0, 0)
-	order := []Point{Pt(3, 4), Pt(3, 0)}
-	if got := TourLength(start, order); got != 9 {
-		t.Errorf("TourLength = %v, want 9", got)
-	}
-	if got := TourLength(start, nil); got != 0 {
-		t.Errorf("TourLength(empty) = %v, want 0", got)
-	}
-}

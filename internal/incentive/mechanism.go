@@ -117,7 +117,7 @@ type Bid struct {
 // ForecastProvider predicts how many users will neighbor a task as rounds
 // pass. Implementations must be deterministic: the same (current, horizon)
 // arguments must yield the same value every call, or byte-identity across
-// shard and worker counts breaks.
+// worker counts breaks.
 type ForecastProvider interface {
 	// Name returns a short identifier for experiment output.
 	Name() string

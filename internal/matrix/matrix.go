@@ -51,15 +51,6 @@ func NewFromRows(rows [][]float64) (*Dense, error) {
 	return m, nil
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -95,15 +86,6 @@ func (m *Dense) Clone() *Dense {
 func (m *Dense) Row(i int) []float64 {
 	out := make([]float64, m.cols)
 	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := range out {
-		out[i] = m.At(i, j)
-	}
 	return out
 }
 
@@ -169,38 +151,6 @@ func (m *Dense) MulVec(v []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// Mul returns the matrix product m * n.
-func (m *Dense) Mul(n *Dense) (*Dense, error) {
-	if m.cols != n.rows {
-		return nil, fmt.Errorf("%w: %dx%d times %dx%d",
-			ErrDimensionMismatch, m.rows, m.cols, n.rows, n.cols)
-	}
-	out := New(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < n.cols; j++ {
-				out.data[i*out.cols+j] += a * n.data[k*n.cols+j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// Transpose returns the transpose of m.
-func (m *Dense) Transpose() *Dense {
-	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
 }
 
 // Equal reports whether m and n have the same shape and all entries within

@@ -19,7 +19,6 @@ import (
 	"paydemand/internal/incentive"
 	"paydemand/internal/reputation"
 	"paydemand/internal/selection"
-	"paydemand/internal/shard"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 	"paydemand/internal/wire"
@@ -54,12 +53,6 @@ type Config struct {
 	// ReputationTolerance is the deviation scale used when scoring
 	// agreement (see reputation.Agreement); zero means 5.
 	ReputationTolerance float64
-	// Shards is the number of geographic regions the round engine is
-	// partitioned into (internal/shard): per-region neighbor counting
-	// runs concurrently while pricing stays global, so published rewards
-	// are byte-identical at every setting. Zero keeps the historical
-	// single engine. Negative values are rejected.
-	Shards int
 	// Planner constructs the task selection solver behind POST /v1/plan;
 	// nil means selection.Auto with default thresholds. The factory must
 	// return a fresh instance per call: solvers keep scratch between calls
@@ -108,10 +101,8 @@ type Platform struct {
 	// solves that outlive the lock pin the context with eng.HoldContext,
 	// which lets the engine recycle its round scratch (a steady-state
 	// reprice allocates only the mechanism's reward map) without an
-	// in-flight solve ever observing a mutation. With cfg.Shards > 0
-	// this is the geo-sharded engine; the platform drives it
-	// identically.
-	eng engine.RoundEngine
+	// in-flight solve ever observing a mutation.
+	eng *engine.Engine
 
 	mu      sync.Mutex
 	round   int
@@ -175,38 +166,19 @@ func New(cfg Config) (*Platform, error) {
 	if planner == nil {
 		planner = func() selection.Algorithm { return &selection.Auto{} }
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("server: shards %d, want >= 0 (0 = unsharded engine)", cfg.Shards)
-	}
 	// An unpriced task is not published on the wire, so it is not a
-	// planning candidate either (RequirePriced in both branches).
-	var eng engine.RoundEngine
-	if cfg.Shards > 0 {
-		eng, err = shard.New(shard.Config{
-			Board:           board,
-			Mechanism:       cfg.Mechanism,
-			Area:            cfg.Area,
-			NeighborRadius:  cfg.NeighborRadius,
-			RequirePriced:   true,
-			Shards:          cfg.Shards,
-			RNG:             cfg.RNG,
-			Budget:          cfg.Budget,
-			BidCostPerMeter: cfg.CostPerMeter,
-			Forecast:        cfg.Forecast,
-		})
-	} else {
-		eng, err = engine.New(engine.Config{
-			Board:           board,
-			Mechanism:       cfg.Mechanism,
-			Area:            cfg.Area,
-			NeighborRadius:  cfg.NeighborRadius,
-			RequirePriced:   true,
-			RNG:             cfg.RNG,
-			Budget:          cfg.Budget,
-			BidCostPerMeter: cfg.CostPerMeter,
-			Forecast:        cfg.Forecast,
-		})
-	}
+	// planning candidate either.
+	eng, err := engine.New(engine.Config{
+		Board:           board,
+		Mechanism:       cfg.Mechanism,
+		Area:            cfg.Area,
+		NeighborRadius:  cfg.NeighborRadius,
+		RequirePriced:   true,
+		RNG:             cfg.RNG,
+		Budget:          cfg.Budget,
+		BidCostPerMeter: cfg.CostPerMeter,
+		Forecast:        cfg.Forecast,
+	})
 	if err != nil {
 		return nil, err
 	}

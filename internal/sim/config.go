@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"paydemand/internal/demand"
 	"paydemand/internal/geo"
@@ -220,12 +221,12 @@ type Config struct {
 	//
 	// Deprecated: ignored by the simulator.
 	RoundParallelism int `json:"round_parallelism,omitempty"`
-	// Shards is the number of geographic regions the round engine is
-	// partitioned into. Zero keeps the historical single engine; any
-	// value >= 1 runs the geo-sharded engine (internal/shard), which is
-	// byte-identical to the single engine at every shard count — the
-	// knob trades wall-clock for nothing else (see DESIGN.md section
-	// 14). Negative values are rejected.
+	// Shards once split the round engine's neighbor counting across
+	// geographic regions. The sharded engine was byte-identical to the
+	// single engine and never paid end to end, so it was deleted; the
+	// simulator ignores the field. Negative values are still rejected.
+	//
+	// Deprecated: ignored by the simulator.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -303,6 +304,28 @@ func (c Config) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
+	// NaN passes every ordered range check below, and ±Inf passes the
+	// open-ended ones; reject non-finite values first so none reaches a
+	// campaign.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"budget", c.Budget},
+		{"reward lambda", c.RewardLambda},
+		{"neighbor radius", c.NeighborRadius},
+		{"user speed", c.UserSpeed},
+		{"user time budget", c.UserTimeBudget},
+		{"cost per meter", c.CostPerMeter},
+		{"sensing time", c.SensingTime},
+		{"time budget jitter", c.TimeBudgetJitter},
+		{"churn rate", c.ChurnRate},
+		{"mobility uncertainty", c.MobilityUncertainty},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s %v, want a finite value", f.name, f.v)
+		}
+	}
 	if c.Rounds < 0 {
 		return fmt.Errorf("sim: rounds %d, want >= 0", c.Rounds)
 	}
@@ -346,7 +369,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: round parallelism %d, want >= 0 (the field is deprecated and ignored)", c.RoundParallelism)
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("sim: shards %d, want >= 0 (0 = unsharded engine)", c.Shards)
+		return fmt.Errorf("sim: shards %d, want >= 0 (the field is deprecated and ignored)", c.Shards)
 	}
 	switch c.Mobility {
 	case MobilityStationary, MobilityRandomWaypoint, MobilityLevyWalk:

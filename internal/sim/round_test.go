@@ -28,30 +28,42 @@ func trialJSON(t *testing.T, cfg Config, seed int64) []byte {
 	return raw
 }
 
-// TestRoundParallelismDeprecated pins the deprecated knob: negative values
-// are still rejected, other values validate, and the simulator ignores
-// them — a trial at 8 is byte-identical to one at 0.
+// TestRoundParallelismDeprecated pins both deprecated knobs,
+// RoundParallelism and Shards: negative values are still rejected, other
+// values validate, and the simulator ignores them — a trial at a positive
+// value is byte-identical to one at 0.
 func TestRoundParallelismDeprecated(t *testing.T) {
 	cfg := Config{
 		Workload: workload.Config{NumUsers: 40, NumTasks: 10, Required: 2},
 		Rounds:   4,
 	}
-	neg := cfg
-	neg.RoundParallelism = -1
-	if err := neg.Validate(); err == nil {
-		t.Error("negative RoundParallelism validated")
-	}
-	var trials [][]byte
-	for _, rp := range []int{0, 8} {
-		c := cfg
-		c.RoundParallelism = rp
-		if err := c.Validate(); err != nil {
-			t.Fatalf("RoundParallelism %d rejected: %v", rp, err)
-		}
-		trials = append(trials, trialJSON(t, c, 404))
-	}
-	if !bytes.Equal(trials[0], trials[1]) {
-		t.Error("RoundParallelism 8 changed the trial JSON")
+	for _, tt := range []struct {
+		name string
+		set  func(*Config, int)
+		pos  int
+	}{
+		{"RoundParallelism", func(c *Config, v int) { c.RoundParallelism = v }, 8},
+		{"Shards", func(c *Config, v int) { c.Shards = v }, 4},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			neg := cfg
+			tt.set(&neg, -1)
+			if err := neg.Validate(); err == nil {
+				t.Errorf("negative %s validated", tt.name)
+			}
+			var trials [][]byte
+			for _, v := range []int{0, tt.pos} {
+				c := cfg
+				tt.set(&c, v)
+				if err := c.Validate(); err != nil {
+					t.Fatalf("%s %d rejected: %v", tt.name, v, err)
+				}
+				trials = append(trials, trialJSON(t, c, 404))
+			}
+			if !bytes.Equal(trials[0], trials[1]) {
+				t.Errorf("%s %d changed the trial JSON", tt.name, tt.pos)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"paydemand/internal/metrics"
 	"paydemand/internal/mobility"
 	"paydemand/internal/selection"
-	"paydemand/internal/shard"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 	"paydemand/internal/workload"
@@ -57,7 +56,7 @@ type Simulation struct {
 	cfg      Config
 	scenario workload.Scenario
 	board    *task.Board
-	eng      engine.RoundEngine
+	eng      *engine.Engine
 	users    []*agent.User
 	mech     incentive.Mechanism
 	alg      selection.Algorithm
@@ -138,44 +137,25 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	if err != nil {
 		return nil, err
 	}
-	// Historical simulator behavior either way: unpriced open tasks stay
-	// in candidate sets at reward 0 (the candidate count feeds Auto's
-	// algorithm dispatch, so dropping them would change results). With
-	// Shards > 0 the geo-sharded engine replaces the single engine; its
-	// output is byte-identical at every shard count (DESIGN.md sec. 14).
-	// The capability fields are always supplied — the engine hands each
-	// mechanism only what its Requires() mask declares, so unused inputs
-	// cost nothing and consume no randomness. mechRNG keeps its historical
-	// split position, so the fixed mechanism's level draws are unchanged.
-	var eng engine.RoundEngine
-	if cfg.Shards > 0 {
-		eng, err = shard.New(shard.Config{
-			Board:           board,
-			Mechanism:       mech,
-			Area:            sc.Area,
-			NeighborRadius:  cfg.NeighborRadius,
-			DisableContext:  cfg.DisableRoundContext,
-			RequirePriced:   false,
-			Shards:          cfg.Shards,
-			RNG:             mechRNG,
-			Budget:          cfg.Budget,
-			BidCostPerMeter: cfg.CostPerMeter,
-			Forecast:        fc,
-		})
-	} else {
-		eng, err = engine.New(engine.Config{
-			Board:           board,
-			Mechanism:       mech,
-			Area:            sc.Area,
-			NeighborRadius:  cfg.NeighborRadius,
-			DisableContext:  cfg.DisableRoundContext,
-			RequirePriced:   false,
-			RNG:             mechRNG,
-			Budget:          cfg.Budget,
-			BidCostPerMeter: cfg.CostPerMeter,
-			Forecast:        fc,
-		})
-	}
+	// Historical simulator behavior: unpriced open tasks stay in candidate
+	// sets at reward 0 (the candidate count feeds Auto's algorithm
+	// dispatch, so dropping them would change results). The capability
+	// fields are always supplied — the engine hands each mechanism only
+	// what its Requires() mask declares, so unused inputs cost nothing and
+	// consume no randomness. mechRNG keeps its historical split position,
+	// so the fixed mechanism's level draws are unchanged.
+	eng, err := engine.New(engine.Config{
+		Board:           board,
+		Mechanism:       mech,
+		Area:            sc.Area,
+		NeighborRadius:  cfg.NeighborRadius,
+		DisableContext:  cfg.DisableRoundContext,
+		RequirePriced:   false,
+		RNG:             mechRNG,
+		Budget:          cfg.Budget,
+		BidCostPerMeter: cfg.CostPerMeter,
+		Forecast:        fc,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -368,11 +348,8 @@ func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.Round
 		if plan.Empty() {
 			continue
 		}
-		// CommitPlan gives the sharded engine its two-phase cross-shard
-		// commit (all owning regions locked for the whole route); on the
-		// single engine it is the same per-task loop as before. Either
-		// way n tasks committed means ids[:n] succeeded and, on error,
-		// ids[n] is the task that failed.
+		// n tasks committed means ids[:n] succeeded and, on error, ids[n]
+		// is the task that failed.
 		n, err := s.eng.CommitPlan(u.ID, plan.Order)
 		for _, id := range plan.Order[:n] {
 			u.MarkDone(id)

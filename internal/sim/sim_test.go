@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"paydemand/internal/metrics"
@@ -349,6 +351,43 @@ func TestConfigValidateRejections(t *testing.T) {
 				t.Error("New accepted invalid config")
 			}
 		})
+	}
+}
+
+// TestConfigRejectsNonFinite pins that every float knob rejects NaN and
+// ±Inf by name: NaN passes the ordered range checks, so without an
+// explicit finiteness check it was silently ignored (churn, jitter) or
+// failed mid-campaign (budget, time budget).
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"budget", func(c *Config, v float64) { c.Budget = v }},
+		{"reward lambda", func(c *Config, v float64) { c.RewardLambda = v }},
+		{"neighbor radius", func(c *Config, v float64) { c.NeighborRadius = v }},
+		{"user speed", func(c *Config, v float64) { c.UserSpeed = v }},
+		{"user time budget", func(c *Config, v float64) { c.UserTimeBudget = v }},
+		{"cost per meter", func(c *Config, v float64) { c.CostPerMeter = v }},
+		{"sensing time", func(c *Config, v float64) { c.SensingTime = v }},
+		{"time budget jitter", func(c *Config, v float64) { c.TimeBudgetJitter = v }},
+		{"churn rate", func(c *Config, v float64) { c.ChurnRate = v }},
+		{"mobility uncertainty", func(c *Config, v float64) { c.MobilityUncertainty = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
+				cfg := smallConfig()
+				f.set(&cfg, v)
+				err := cfg.Validate()
+				if err == nil {
+					t.Fatal("non-finite value validated")
+				}
+				if !strings.Contains(err.Error(), f.name) {
+					t.Errorf("error %q does not name %q", err, f.name)
+				}
+			})
+		}
 	}
 }
 
