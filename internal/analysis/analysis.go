@@ -30,8 +30,6 @@
 //   - poolpair: pooled values (sync.Pool.Get, binary.GetBuffer,
 //     SolverPool.Get) are released on every path and never escape the
 //     acquiring function (flow-sensitive, over the CFG in cfg.go).
-//   - leasepair: engine.ContextHold leases are balanced by Release on
-//     every path, including error returns (flow-sensitive).
 //   - lockorder: mutexes are acquired in ascending LockRanks order,
 //     never double-locked, and released on every path (flow-sensitive).
 //   - atomicfield: struct fields touched via sync/atomic anywhere are
@@ -190,5 +188,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // preceding analyzers consulted.
 func All() []*Analyzer {
 	return []*Analyzer{Mapiter, Detrand, ScratchAlias, WireJSON, WireBin,
-		PoolPair, LeasePair, LockOrder, AtomicField, Directive}
+		PoolPair, LockOrder, AtomicField, Directive}
 }

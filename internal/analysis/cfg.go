@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the flow-sensitive layer under paylint's v2 analyzers
-// (poolpair, leasepair, lockorder): an intra-procedural control-flow
+// (poolpair, lockorder): an intra-procedural control-flow
 // graph over ast.Stmt plus a join-based forward dataflow driver. The
 // syntactic analyzers of PR 4 cannot see "a Get with no Put on the error
 // path" or "a lock still held at an early return" — those are properties

@@ -32,11 +32,11 @@ func isDeterministicPackage(path string) bool {
 }
 
 // ConcurrencyPackages are the packages the flow-sensitive v2 analyzers
-// (poolpair, leasepair, lockorder, atomicfield) apply to: the
+// (poolpair, lockorder, atomicfield) apply to: the
 // deterministic core plus the two packages that recycle pooled buffers
 // without feeding the byte-identity guarantee directly. Grow the list
-// when a new package takes up sync.Pool buffers, context leases, or the
-// ranked mutexes; all four analyzers pick the addition up at once.
+// when a new package takes up sync.Pool buffers or the ranked mutexes;
+// all three analyzers pick the addition up at once.
 var ConcurrencyPackages = append(append([]string{},
 	DeterministicPackages...),
 	"paydemand/internal/client",
@@ -71,9 +71,9 @@ func isConcurrencyPackage(path string) bool {
 //     symmetric lock/unlock loop check in lockorder covers it).
 //   - shard.Engine.closedMu nests inside region locks: CommitPlan
 //     appends to the closed list while still holding the plan's regions.
-//   - engine.leasePool.mu and selection.SolverPool.mu are leaf locks
-//     guarding free lists; nothing may be acquired under them, which
-//     their maximal ranks express.
+//   - selection.SolverPool.mu is a leaf lock guarding a free list;
+//     nothing may be acquired under it, which its maximal rank
+//     expresses.
 //
 // Unranked mutexes (locals, test scaffolding) are exempt from ordering
 // but still subject to the missing-Unlock-on-path check.
@@ -81,6 +81,5 @@ var LockRanks = map[string]int{
 	"paydemand/internal/server.Platform.mu":      10,
 	"paydemand/internal/shard.region.mu":         20,
 	"paydemand/internal/shard.Engine.closedMu":   30,
-	"paydemand/internal/engine.leasePool.mu":     40,
 	"paydemand/internal/selection.SolverPool.mu": 40,
 }

@@ -60,10 +60,6 @@ func TestPoolPair(t *testing.T) {
 	analysistest.Run(t, analysis.PoolPair, "poolpair", "paydemand/internal/server")
 }
 
-func TestLeasePair(t *testing.T) {
-	analysistest.Run(t, analysis.LeasePair, "leasepair", "paydemand/internal/server")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analysis.LockOrder, "lockorder", "paydemand/internal/shard")
 }
@@ -99,7 +95,7 @@ func TestDirectiveStale(t *testing.T) {
 // -only flag both refer to analyzers by these names.
 func TestSuiteNames(t *testing.T) {
 	want := []string{"mapiter", "detrand", "scratchalias", "wirejson", "wirebin",
-		"poolpair", "leasepair", "lockorder", "atomicfield", "directive"}
+		"poolpair", "lockorder", "atomicfield", "directive"}
 	all := analysis.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

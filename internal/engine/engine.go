@@ -1,8 +1,8 @@
 // Package engine implements the canonical round state machine of the
 // crowdsensing platform: the per-round pipeline of open-task snapshot,
-// neighbor counting, demand-based repricing (Eqs. 3-7), shared solver
-// context construction, measurement commit with double-fill protection,
-// and round/trial statistics (Sec. VI).
+// neighbor counting, demand-based repricing (Eqs. 3-7), measurement
+// commit with double-fill protection, and round/trial statistics
+// (Sec. VI).
 //
 // The engine owns platform state and scratch; frontends own behavior.
 // Three drivers sit on top of it:
@@ -16,17 +16,16 @@
 //
 // All per-round storage — the open-task snapshot, the neighbor grid, the
 // mechanism's task views, the assembled mechanism input (bids, budget,
-// forecast), the published reward map, and the shared
-// selection.RoundContext — is grow-only scratch recycled across rounds,
-// so a steady-state Reprice allocates nothing at all: mechanisms write
-// into an engine-owned map through RewardsInto, and the engine republishes
-// that map each round. Because of that scratch, an Engine is NOT safe for
+// forecast), and the published reward map — is grow-only scratch
+// recycled across rounds, so a steady-state Reprice allocates nothing at
+// all: mechanisms write into an engine-owned map through RewardsInto, and
+// the engine republishes that map each round. Because of that scratch, an Engine is NOT safe for
 // concurrent mutation: drivers serialize BeginRound/Reprice/Commit calls
 // (the simulator is single-threaded between rounds; the HTTP platform
 // holds its mutex). Read-only accessors, ProblemInto included, are safe
-// to call concurrently between mutations. Solvers that keep using a
-// round's shared context after the driver's lock is released must pin it
-// with HoldContext so the next reprice cannot recycle it underneath them.
+// to call concurrently between mutations. A problem ProblemInto builds
+// into a caller-owned buffer references no engine storage, so it may be
+// solved after the driver's lock is released, while the engine moves on.
 package engine
 
 import (
@@ -53,10 +52,11 @@ type Config struct {
 	Area geo.Rect
 	// NeighborRadius is the radius R of the neighbor-count demand factor.
 	NeighborRadius float64
-	// DisableContext skips building the per-round shared solver context
-	// and validates task locations directly instead. Selection results
-	// are bit-for-bit identical either way; the flag exists for the
-	// simulator's equivalence ablation.
+	// DisableContext once skipped building the per-round shared distance
+	// table. The table was deleted (every solver computes the distances
+	// it needs), so the engine ignores the field.
+	//
+	// Deprecated: ignored by the engine.
 	DisableContext bool
 	// RequirePriced drops tasks without a published reward from candidate
 	// sets built by ProblemInto. The HTTP platform sets it (an unpriced
@@ -100,14 +100,9 @@ type Engine struct {
 	// Grow-only per-round scratch.
 	grid      geo.GridIndex
 	viewBuf   []incentive.TaskView
-	taskLocs  []geo.Point
 	in        incentive.RoundInput
 	bidBuf    []incentive.Bid
 	rewardBuf map[task.ID]float64
-
-	// Shared-context lease state (see context.go).
-	cur  *lease
-	pool leasePool
 }
 
 // New validates the configuration and builds an engine. Area and
@@ -168,39 +163,37 @@ func (e *Engine) SetBoard(b *task.Board) {
 func (e *Engine) SetMechanism(m incentive.Mechanism) { e.cfg.Mechanism = m }
 
 // BeginRound starts round k: it unpublishes the previous round's rewards
-// and context and snapshots the tasks open at k in board order. The
-// returned slice is engine-owned scratch, valid until the next
-// BeginRound; it is the same slice Open returns.
+// and snapshots the tasks open at k in board order. The returned slice is
+// engine-owned scratch, valid until the next BeginRound; it is the same
+// slice Open returns.
 //
 //paylint:aliases open
 func (e *Engine) BeginRound(round int) []*task.State {
 	e.round = round
 	e.rewards = nil
 	e.mean = 0
-	e.releaseCurrent()
 	e.open = e.board.OpenAtInto(e.open, round)
 	return e.open
 }
 
-// Clear unpublishes everything (a finished campaign): no open tasks, no
-// rewards, no context. The round number is preserved.
+// Clear unpublishes everything (a finished campaign): no open tasks and
+// no rewards. The round number is preserved.
 func (e *Engine) Clear() {
 	e.rewards = nil
 	e.mean = 0
-	e.releaseCurrent()
 	e.open = e.open[:0]
 }
 
 // Reprice prices the current round's open snapshot: it counts each open
 // task's neighboring users among userLocs with the reusable grid index,
 // consults the mechanism, computes the mean published reward (summing in
-// board order — float addition is not associative), validates the
-// rewards, and rebuilds the shared solver context over the open task
-// locations. userLocs is in user order; it also feeds bid construction
-// for mechanisms that declare the bids capability. With no open tasks it
-// publishes nothing and returns nil without consulting the mechanism. On
-// error nothing stays published: a driver that keeps serving after a
-// failed reprice serves no prices rather than the previous round's.
+// board order — float addition is not associative), and validates the
+// rewards and the open task locations. userLocs is in user order; it also
+// feeds bid construction for mechanisms that declare the bids capability.
+// With no open tasks it publishes nothing and returns nil without
+// consulting the mechanism. On error nothing stays published: a driver
+// that keeps serving after a failed reprice serves no prices rather than
+// the previous round's.
 func (e *Engine) Reprice(userLocs []geo.Point) error {
 	if len(e.open) == 0 {
 		return nil
@@ -260,24 +253,19 @@ func (e *Engine) Reprice(userLocs []geo.Point) error {
 		mean = total / float64(len(rewards))
 	}
 	// Validate the round's shared selection inputs once, here, instead of
-	// once per user selection call: reward sanity below, task locations
-	// inside the context build (or the explicit loop when the context is
-	// disabled). ProblemInto then marks its problems CandidatesValid.
-	// Scanning in board order keeps the reported task deterministic when
-	// several rewards are NaN.
+	// once per user selection call: reward sanity, then task locations.
+	// ProblemInto then marks its problems CandidatesValid. Scanning in
+	// board order keeps the reported task deterministic when several
+	// rewards are NaN.
 	for _, st := range e.open {
 		if r, ok := rewards[st.ID]; ok && math.IsNaN(r) {
 			return fmt.Errorf("mechanism %s: NaN reward for task %d", e.cfg.Mechanism.Name(), st.ID)
 		}
 	}
-	if e.cfg.DisableContext {
-		for _, st := range e.open {
-			if !st.Location.IsFinite() {
-				return fmt.Errorf("task %d: non-finite location %v", st.ID, st.Location)
-			}
+	for _, st := range e.open {
+		if !st.Location.IsFinite() {
+			return fmt.Errorf("task %d: non-finite location %v", st.ID, st.Location)
 		}
-	} else if err := e.resetContext(); err != nil {
-		return err
 	}
 	e.rewards = rewards
 	e.mean = mean
@@ -331,23 +319,6 @@ func (e *Engine) buildBids(userLocs []geo.Point, views []incentive.TaskView) []i
 		e.bidBuf = append(e.bidBuf, incentive.Bid{Worker: i, Cost: e.cfg.BidCostPerMeter * best})
 	}
 	return e.bidBuf
-}
-
-// resetContext rebuilds the shared solver context over the open snapshot's
-// task locations, recycling a context no solver holds anymore.
-func (e *Engine) resetContext() error {
-	e.taskLocs = e.taskLocs[:0]
-	for _, st := range e.open {
-		e.taskLocs = append(e.taskLocs, st.Location)
-	}
-	l := e.pool.get()
-	if err := l.ctx.Reset(e.taskLocs); err != nil {
-		e.pool.put(l)
-		return err
-	}
-	e.releaseCurrent()
-	e.cur = l
-	return nil
 }
 
 // Round returns the round number of the current snapshot.

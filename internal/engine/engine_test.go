@@ -3,11 +3,13 @@ package engine
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
 	"paydemand/internal/metrics"
+	"paydemand/internal/selection"
 	"paydemand/internal/task"
 )
 
@@ -95,9 +97,6 @@ func TestRoundPipeline(t *testing.T) {
 	if r, ok := e.RewardFor(2); !ok || r != 20 {
 		t.Errorf("RewardFor(2) = %v, %v", r, ok)
 	}
-	if ctx := e.Context(); ctx == nil || ctx.Len() != 3 {
-		t.Fatalf("context = %v", ctx)
-	}
 
 	var rs metrics.RoundStats
 	e.StartRoundStats(&rs)
@@ -170,9 +169,8 @@ func TestProblemIntoFiltering(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, _ := e.ProblemInto(spec, Worker(1), nil)
-		if !p.CandidatesValid || p.Ctx == nil {
-			t.Errorf("requirePriced=%v: problem = valid %v, ctx %v",
-				tc.requirePriced, p.CandidatesValid, p.Ctx)
+		if !p.CandidatesValid {
+			t.Errorf("requirePriced=%v: problem not marked CandidatesValid", tc.requirePriced)
 		}
 		if len(p.Candidates) != len(tc.wantIDs) {
 			t.Fatalf("requirePriced=%v: %d candidates, want %d",
@@ -180,7 +178,7 @@ func TestProblemIntoFiltering(t *testing.T) {
 		}
 		for i, want := range tc.wantIDs {
 			c := p.Candidates[i]
-			if c.ID != want || c.Reward != mech.rewards[want] || c.CtxIndex != i {
+			if c.ID != want || c.Reward != mech.rewards[want] {
 				t.Errorf("requirePriced=%v: candidate %d = %+v", tc.requirePriced, i, c)
 			}
 		}
@@ -281,7 +279,7 @@ func TestRepriceErrors(t *testing.T) {
 		if err := e.Reprice(nil); err == nil {
 			t.Fatal("mechanism error swallowed")
 		}
-		if e.Rewards() != nil || e.Context() != nil || e.MeanPublishedReward() != 0 {
+		if e.Rewards() != nil || e.MeanPublishedReward() != 0 {
 			t.Error("stale state left published after failed reprice")
 		}
 	})
@@ -317,74 +315,53 @@ func TestRepriceErrors(t *testing.T) {
 	})
 }
 
-func TestDisableContext(t *testing.T) {
-	board := testBoard(t)
-	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
-	e := testEngine(t, Config{
-		Board: board, Mechanism: mech,
-		Area: geo.Square(1000), NeighborRadius: 100,
-		DisableContext: true,
-	})
-	e.BeginRound(1)
-	if err := e.Reprice(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Context() != nil {
-		t.Error("context built despite DisableContext")
-	}
-	p, _ := e.ProblemInto(Spec{Start: geo.Pt(0, 0), MaxDistance: 5000}, Worker(1), nil)
-	if p.Ctx != nil {
-		t.Error("problem linked a context despite DisableContext")
-	}
-}
-
-// TestHoldContextSurvivesReprice pins the lease contract: a context held
-// across a reprice keeps its old distance table while the engine
-// publishes a new one, and releasing the hold recycles the lease.
-func TestHoldContextSurvivesReprice(t *testing.T) {
+// TestProblemSurvivesAdvance pins what lets the HTTP platform solve a
+// plan outside its lock: a problem ProblemInto built into a caller-owned
+// buffer references no engine storage, so committing, advancing, and
+// repricing underneath it changes nothing about the plan it solves to.
+func TestProblemSurvivesAdvance(t *testing.T) {
 	board := testBoard(t)
 	mech := stubMechanism{rewards: map[task.ID]float64{1: 10, 2: 20, 3: 30}}
 	e := testEngine(t, Config{Board: board, Mechanism: mech, Area: geo.Square(1000), NeighborRadius: 100})
+	spec := Spec{Start: geo.Pt(0, 0), MaxDistance: 5000, CostPerMeter: 0.001}
 
 	e.BeginRound(1)
 	if err := e.Reprice(nil); err != nil {
 		t.Fatal(err)
 	}
-	held := e.Context()
-	hold := e.HoldContext()
-	wantLen := held.Len()
-	wantDist := held.Dist(0, 1)
-
-	// Complete task 1 so the next round's context is over 2 tasks.
-	if _, _, err := e.Commit(1, 1); err != nil {
+	p, _ := e.ProblemInto(spec, Worker(1), nil)
+	want, err := (&selection.DP{}).Select(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.BeginRound(2)
-	if err := e.Reprice(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Context() == held {
-		t.Fatal("reprice recycled a held context")
-	}
-	if held.Len() != wantLen || held.Dist(0, 1) != wantDist {
-		t.Error("held context mutated across reprice")
-	}
-	second := e.Context()
-	hold.Release()
-
-	// With no hold on it, round 2's lease returns to the pool when round 3
-	// begins, and the next reprice recycles it (the pool is LIFO).
-	e.BeginRound(3)
-	if err := e.Reprice(nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Context() != second {
-		t.Error("released lease not recycled")
+	if want.Len() != 3 {
+		t.Fatalf("round-1 plan visits %d tasks, want all 3", want.Len())
 	}
 
-	// The zero-value hold (nothing published) is a valid no-op.
-	e.Clear()
-	e.HoldContext().Release()
+	// Complete task 1 and advance twice, repricing each round over the
+	// same engine scratch: round 2 publishes tasks 2 and 3, round 3 only
+	// task 2 (task 3's deadline has passed).
+	if _, _, err := e.Commit(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	e.SetMechanism(stubMechanism{rewards: map[task.ID]float64{2: 1, 3: 2}})
+	for _, r := range []struct{ round, open int }{{2, 2}, {3, 1}} {
+		e.BeginRound(r.round)
+		if err := e.Reprice([]geo.Point{geo.Pt(500, 500)}); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.Open()) != r.open {
+			t.Fatalf("round %d open = %d tasks, want %d", r.round, len(e.Open()), r.open)
+		}
+	}
+
+	got, err := (&selection.DP{}).Select(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round-1 problem solved after the advance = %+v, want %+v", got, want)
+	}
 }
 
 // TestRepriceSteadyStateAllocs pins the zero-allocation contract: once

@@ -29,7 +29,7 @@ func (Worker) HasDone(task.ID) bool { return false }
 
 // Spec is the user-dependent half of a selection problem: where the user
 // stands and what its budget converts to. The engine supplies the
-// round-dependent half (candidates, prices, shared context).
+// round-dependent half (candidates and prices).
 type Spec struct {
 	// Start is the user's current location.
 	Start geo.Point
@@ -47,13 +47,14 @@ type Spec struct {
 // round into a caller-owned candidate buffer, returning the problem and
 // the (possibly re-grown) buffer: every task of the open snapshot still
 // accepting measurements that the actor has not contributed to, priced
-// at this round's rewards, in board order, linked to the shared context
-// by snapshot position. The round's shared inputs were validated by
-// Reprice, so the problem is marked CandidatesValid and solvers skip the
-// per-candidate re-validation.
+// at this round's rewards, in board order. The round's shared inputs were
+// validated by Reprice, so the problem is marked CandidatesValid and
+// solvers skip the per-candidate re-validation.
 //
 // ProblemInto only reads engine state, so any number of goroutines may
 // call it concurrently (over distinct buffers) between engine mutations.
+// The problem references no engine storage beyond buf: solving it after
+// the round advances yields the plan it would have yielded before.
 func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (selection.Problem, []selection.Candidate) {
 	p := selection.Problem{
 		Start:           spec.Start,
@@ -62,12 +63,9 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 		PerTaskDistance: spec.PerTaskDistance,
 		CandidatesValid: true,
 	}
-	if e.cur != nil {
-		p.Ctx = &e.cur.ctx
-	}
 	buf = buf[:0]
 	id := who.ActorID()
-	for i, st := range e.open {
+	for _, st := range e.open {
 		if !st.OpenAt(e.round) || st.Contributed(id) || who.HasDone(st.ID) {
 			continue
 		}
@@ -79,7 +77,6 @@ func (e *Engine) ProblemInto(spec Spec, who Actor, buf []selection.Candidate) (s
 			ID:       st.ID,
 			Location: st.Location,
 			Reward:   reward,
-			CtxIndex: i,
 		})
 	}
 	p.Candidates = buf

@@ -8,7 +8,6 @@ import (
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
 	"paydemand/internal/mobility"
-	"paydemand/internal/selection"
 	"paydemand/internal/stats"
 	"paydemand/internal/task"
 )
@@ -95,18 +94,17 @@ func benchEngine(b *testing.B, w benchWorld, kind string) *Engine {
 }
 
 // BenchmarkReprice measures one full round repricing — open snapshot,
-// neighbor counting, mechanism pricing, shared context build — over a
+// neighbor counting, mechanism pricing, location validation — over a
 // mechanism x users x tasks grid, comparing the engine's recycled
 // scratch against the pre-engine approach of rebuilding every structure
 // per round.
 //
 //   - engine/<mechanism>: BeginRound + Reprice on one long-lived Engine,
 //     priced by the named mechanism with its capability inputs wired in.
-//     Steady state allocates nothing (the grid, views, bids, rewards, and
-//     context are grow-only scratch; see TestRepriceSteadyStateAllocs).
+//     Steady state allocates nothing (the grid, views, bids, and rewards
+//     are grow-only scratch; see TestRepriceSteadyStateAllocs).
 //   - rebuild: what the HTTP platform did before the engine existed —
-//     a fresh grid index, view slice, and solver context every round,
-//     priced on-demand.
+//     a fresh grid index and view slice every round, priced on-demand.
 func BenchmarkReprice(b *testing.B) {
 	for _, users := range []int{50, 200, 1000} {
 		for _, tasks := range []int{20, 100} {
@@ -136,7 +134,6 @@ func BenchmarkReprice(b *testing.B) {
 						b.Fatal(err)
 					}
 					views := make([]incentive.TaskView, len(open))
-					locs := make([]geo.Point, len(open))
 					for j, st := range open {
 						views[j] = incentive.TaskView{
 							ID:        st.ID,
@@ -146,13 +143,9 @@ func BenchmarkReprice(b *testing.B) {
 							Received:  st.Received(),
 							Neighbors: grid.CountWithin(st.Location, 500),
 						}
-						locs[j] = st.Location
 					}
 					rewards, err := w.mech.Rewards(&incentive.RoundInput{Round: 1, Views: views})
 					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := selection.NewRoundContext(locs); err != nil {
 						b.Fatal(err)
 					}
 					if len(rewards) == 0 {

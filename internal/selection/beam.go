@@ -31,14 +31,14 @@ const (
 // m) space, so dense boards (100+ open tasks in a user's travel radius)
 // get near-optimal routes instead of silently degrading to pure greedy.
 //
-// The search expands routes one visit at a time over the shared
-// RoundContext distance table, scoring a partial route by its realized
-// profit and breaking every tie deterministically (higher profit, then
-// less consumed budget, then the expansion discovered first in scan
+// The search expands routes one visit at a time over a per-call distance
+// table of the reachable candidates, scoring a partial route by its
+// realized profit and breaking every tie deterministically (higher profit,
+// then less consumed budget, then the expansion discovered first in scan
 // order). The best route found is polished with alternating 2-opt and
-// or-opt passes, and the result is floored at the greedy + 2-opt plan —
-// so Beam.Profit >= TwoOptGreedy.Profit >= Greedy.Profit always holds,
-// and the FuzzSolverEquivalence harness enforces it. Instances of at most
+// or-opt passes, and the result is floored at the greedy + 2-opt plan — so
+// Beam.Profit >= TwoOptGreedy.Profit >= Greedy.Profit always holds, and
+// the FuzzSolverEquivalence harness enforces it. Instances of at most
 // BeamExactMaxTasks candidates are delegated to the embedded DP, making
 // the solver exact exactly where exactness is cheap.
 //
@@ -128,10 +128,8 @@ func (bm *Beam) selectValidated(p *Problem) (Plan, error) {
 	startDist, dist := bm.startDist, bm.dist
 	for a := 0; a < m; a++ {
 		startDist[a] = p.Start.Dist(p.Candidates[idxs[a]].Location)
-		for b := 0; b < m; b++ {
-			dist[a*m+b] = p.candDist(idxs[a], idxs[b])
-		}
 	}
+	p.fillDist(dist, idxs)
 
 	bestLevel, bestSlot, bestProfit, bestTravel := bm.search(p, m, startDist, dist)
 

@@ -51,33 +51,3 @@ func BenchmarkSelect(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSelectCtx is BenchmarkSelect with the shared round context
-// attached, the configuration every simulation round uses: task-pair
-// distances come from the precomputed table instead of math.Hypot.
-func BenchmarkSelectCtx(b *testing.B) {
-	algs := []Algorithm{&DP{}, &Greedy{}, &TwoOptGreedy{}}
-	for _, alg := range algs {
-		for _, m := range []int{5, 10, 15, 20} {
-			p := benchSolverProblem(m)
-			locs := make([]geo.Point, m)
-			for i, c := range p.Candidates {
-				locs[i] = c.Location
-				p.Candidates[i].CtxIndex = i
-			}
-			ctx, err := NewRoundContext(locs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.Ctx = ctx
-			b.Run(fmt.Sprintf("%s/m=%d", alg.Name(), m), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := alg.Select(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

@@ -92,17 +92,14 @@ func (d *DP) selectValidated(p *Problem) (Plan, error) {
 		return Plan{}, fmt.Errorf("%w: %d candidates, cap %d", ErrTooManyTasks, m, d.maxTasks())
 	}
 
-	// Distance tables over the filtered candidates, looked up in the shared
-	// round context when the problem carries one.
+	// Distance tables over the filtered candidates.
 	d.startDist = growFloats(d.startDist, m)
 	d.dist = growFloats(d.dist, m*m)
 	startDist, dist := d.startDist, d.dist
 	for a := 0; a < m; a++ {
 		startDist[a] = p.Start.Dist(p.Candidates[idxs[a]].Location)
-		for b := 0; b < m; b++ {
-			dist[a*m+b] = p.candDist(idxs[a], idxs[b])
-		}
 	}
+	p.fillDist(dist, idxs)
 
 	// dp stores consumed budget: travel distance plus the per-task
 	// overhead of every visit so far. All states of one mask share the

@@ -13,12 +13,11 @@
 // plus a 2-opt order-improvement pass usable on any plan.
 //
 // The simulation calls Select once per user per round, so the package is
-// built for a hot loop: a RoundContext shares the round's task-pair
-// distance table across all users, and every solver keeps grow-only
-// scratch buffers that make steady-state calls allocation-free apart from
-// the returned Plan. Because of that scratch, an Algorithm value is NOT
-// safe for concurrent use; give each goroutine its own instance (they are
-// cheap — the scratch grows on first use).
+// built for a hot loop: every solver keeps grow-only scratch buffers
+// (its per-call distance table included) that make steady-state calls
+// allocation-free apart from the returned Plan. Because of that scratch,
+// an Algorithm value is NOT safe for concurrent use; give each goroutine
+// its own instance (they are cheap — the scratch grows on first use).
 package selection
 
 import (
@@ -39,10 +38,6 @@ type Candidate struct {
 	Location geo.Point `json:"location"`
 	// Reward is the per-measurement reward offered this round.
 	Reward float64 `json:"reward"`
-	// CtxIndex is the candidate's task index in the Problem's shared
-	// RoundContext; meaningful only when Problem.Ctx is set, in which case
-	// Location must equal Ctx.Location(CtxIndex).
-	CtxIndex int `json:"-"`
 }
 
 // Problem is one user's task selection instance at one round.
@@ -62,14 +57,9 @@ type Problem struct {
 	// Candidates are the tasks available to this user (open, not yet
 	// contributed to by them).
 	Candidates []Candidate `json:"candidates"`
-	// Ctx is the optional per-round shared solver context. When set,
-	// solvers look task-pair distances up in its precomputed table (via
-	// each candidate's CtxIndex) instead of recomputing them per call.
-	// Results are bit-for-bit identical either way.
-	Ctx *RoundContext `json:"-"`
 	// CandidatesValid asserts that the caller has already validated the
 	// candidate set for this round (distinct ids, finite locations,
-	// non-NaN rewards, consistent CtxIndex linkage), letting Validate skip
+	// non-NaN rewards), letting Validate skip
 	// the per-candidate scan. The simulation validates each round's shared
 	// task set once instead of once per user selection call.
 	CandidatesValid bool `json:"-"`
@@ -129,16 +119,6 @@ func (p Problem) Validate() error {
 		if math.IsNaN(c.Reward) {
 			return fmt.Errorf("%w: candidate %d NaN reward", ErrBadProblem, c.ID)
 		}
-		if p.Ctx != nil {
-			if c.CtxIndex < 0 || c.CtxIndex >= p.Ctx.n {
-				return fmt.Errorf("%w: candidate %d context index %d out of range [0, %d)",
-					ErrBadProblem, c.ID, c.CtxIndex, p.Ctx.n)
-			}
-			if c.Location != p.Ctx.locs[c.CtxIndex] {
-				return fmt.Errorf("%w: candidate %d location %v disagrees with context location %v",
-					ErrBadProblem, c.ID, c.Location, p.Ctx.locs[c.CtxIndex])
-			}
-		}
 	}
 	return nil
 }
@@ -179,24 +159,32 @@ type Algorithm interface {
 	Select(p Problem) (Plan, error)
 }
 
-// candDist returns the distance between candidates i and j, looked up in
-// the shared round context when one is attached and recomputed otherwise.
-// Both paths produce bit-for-bit identical values: the context stores the
-// result of the same geo.Point.Dist call.
-func (p *Problem) candDist(i, j int) float64 {
-	if p.Ctx != nil {
-		return p.Ctx.dist[p.Candidates[i].CtxIndex*p.Ctx.n+p.Candidates[j].CtxIndex]
-	}
-	return p.Candidates[i].Location.Dist(p.Candidates[j].Location)
-}
-
 // legDist returns the distance of the path leg from candidate i to
 // candidate j, where i == -1 denotes the user's start location.
 func (p *Problem) legDist(i, j int) float64 {
 	if i < 0 {
 		return p.Start.Dist(p.Candidates[j].Location)
 	}
-	return p.candDist(i, j)
+	return p.Candidates[i].Location.Dist(p.Candidates[j].Location)
+}
+
+// fillDist fills dist (row-major m x m, m = len(idxs)) with the pairwise
+// distances of the candidates idxs names. Only the upper triangle is
+// computed; the lower one is its mirror, which is bit-identical because
+// geo.Point.Dist is math.Hypot of the coordinate differences: a-b is
+// exactly -(b-a) and Hypot takes both arguments' absolute values. The
+// diagonal is Hypot(0, 0) = 0.
+func (p *Problem) fillDist(dist []float64, idxs []int) {
+	m := len(idxs)
+	for a := 0; a < m; a++ {
+		dist[a*m+a] = 0
+		la := p.Candidates[idxs[a]].Location
+		for b := a + 1; b < m; b++ {
+			d := la.Dist(p.Candidates[idxs[b]].Location)
+			dist[a*m+b] = d
+			dist[b*m+a] = d
+		}
+	}
 }
 
 // buildPlan assembles a Plan from an ordered candidate index sequence,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -226,6 +227,68 @@ func TestTLVPlanAndSubmit(t *testing.T) {
 	}
 	if subResp.TotalPaid <= 0 {
 		t.Errorf("total paid %v, want > 0", subResp.TotalPaid)
+	}
+}
+
+// TestTLVSubmitRejectsNonFinite pins that a NaN or infinite measurement,
+// which only the TLV codec can carry, is rejected per measurement before
+// anything is recorded or paid, while a finite one in the same request
+// is accepted, and the task's estimate stays computable.
+func TestTLVSubmitRejectsNonFinite(t *testing.T) {
+	p := testPlatform(t)
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+
+	var reg wire.RegisterResponse
+	if code := doJSON(t, srv, http.MethodPost, wire.PathRegister,
+		wire.RegisterRequest{Location: geo.Pt(500, 500)}, &reg); code != http.StatusOK {
+		t.Fatalf("register: status %d", code)
+	}
+	sub := wire.SubmitRequest{UserID: reg.UserID, Round: 1, Location: geo.Pt(500, 500),
+		Measurements: []wire.Measurement{
+			{TaskID: 1, Value: math.NaN()},
+			{TaskID: 2, Value: math.Inf(1)},
+			{TaskID: 3, Value: math.Inf(-1)},
+		}}
+	code, body, _ := doTLV(t, srv, http.MethodPost, wire.PathSubmit, binary.AppendSubmitRequest(nil, &sub))
+	if code != http.StatusOK {
+		t.Fatalf("tlv submit: status %d: %s", code, body)
+	}
+	var resp wire.SubmitResponse
+	if err := binary.DecodeSubmitResponse(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 3 {
+		t.Fatalf("submit results %d, want 3", len(resp.Results))
+	}
+	for _, res := range resp.Results {
+		if res.Accepted || res.Reason != "non-finite value" || res.Reward != 0 {
+			t.Errorf("task %d: result %+v, want rejected for a non-finite value", res.TaskID, res)
+		}
+	}
+	if resp.TotalPaid != 0 || p.eng.Board().TotalReceived() != 0 {
+		t.Errorf("paid %v for %d measurements, want nothing recorded", resp.TotalPaid, p.eng.Board().TotalReceived())
+	}
+
+	// The rejection recorded nothing: the same worker can still upload a
+	// finite reading for the task, and its estimate is that reading.
+	sub.Measurements = []wire.Measurement{{TaskID: 1, Value: 42}}
+	code, body, _ = doTLV(t, srv, http.MethodPost, wire.PathSubmit, binary.AppendSubmitRequest(nil, &sub))
+	if code != http.StatusOK {
+		t.Fatalf("tlv submit: status %d: %s", code, body)
+	}
+	if err := binary.DecodeSubmitResponse(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 || !resp.Results[0].Accepted {
+		t.Fatalf("finite resubmission = %+v, want accepted", resp.Results)
+	}
+	est, err := p.Estimate(1)
+	if err != nil {
+		t.Fatalf("estimate after a rejected NaN: %v", err)
+	}
+	if est.Value != 42 {
+		t.Errorf("estimate %v, want 42", est.Value)
 	}
 }
 

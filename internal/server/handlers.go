@@ -156,6 +156,10 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case board.Get(m.TaskID) == nil:
 			res.Reason = "unknown task"
+		case !finite(m.Value):
+			// A NaN or infinite reading would be paid for and then poison
+			// the task's aggregate estimate and reputation scoring.
+			res.Reason = "non-finite value"
 		default:
 			reward, priced := p.eng.RewardFor(m.TaskID)
 			if !priced {
@@ -198,6 +202,9 @@ func (p *Platform) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	p.writeJSON(w, http.StatusOK, resp)
 }
 
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // recordReason maps task.Record errors to stable protocol strings.
 func recordReason(err error) string {
 	switch {
@@ -238,16 +245,17 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, "non-finite location")
 		return
 	}
-	if req.Speed <= 0 || math.IsNaN(req.Speed) {
-		p.writeError(w, http.StatusBadRequest, "speed %v, want > 0", req.Speed)
+	// The TLV codec carries IEEE bits, so NaN and ±Inf do arrive here.
+	if req.Speed <= 0 || !finite(req.Speed) {
+		p.writeError(w, http.StatusBadRequest, "speed %v, want finite and > 0", req.Speed)
 		return
 	}
-	if req.TimeBudget < 0 || math.IsNaN(req.TimeBudget) {
-		p.writeError(w, http.StatusBadRequest, "time budget %v, want >= 0", req.TimeBudget)
+	if req.TimeBudget < 0 || !finite(req.TimeBudget) {
+		p.writeError(w, http.StatusBadRequest, "time budget %v, want finite and >= 0", req.TimeBudget)
 		return
 	}
-	if req.CostPerMeter < 0 || math.IsNaN(req.CostPerMeter) {
-		p.writeError(w, http.StatusBadRequest, "cost per meter %v, want >= 0", req.CostPerMeter)
+	if req.CostPerMeter < 0 || !finite(req.CostPerMeter) {
+		p.writeError(w, http.StatusBadRequest, "cost per meter %v, want finite and >= 0", req.CostPerMeter)
 		return
 	}
 
@@ -265,22 +273,18 @@ func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	p.workers[req.UserID] = req.Location
 	round := p.round
 	// The candidate buffer is per-request (nil, so ProblemInto allocates):
-	// the problem escapes the lock and must not share engine scratch. The
-	// shared distance context is engine scratch, so it is pinned with a
-	// hold for the duration of the solve — a concurrent Advance may
-	// reprice, and an in-flight solve must never observe a mutation.
+	// the problem escapes the lock, and with its own buffer it references
+	// no engine storage, so a concurrent Advance cannot change the solve.
 	problem, _ := p.eng.ProblemInto(engine.Spec{
 		Start:        req.Location,
 		MaxDistance:  req.Speed * req.TimeBudget,
 		CostPerMeter: req.CostPerMeter,
 	}, engine.Worker(req.UserID), nil)
-	hold := p.eng.HoldContext()
 	p.mu.Unlock()
 
 	alg := p.planners.Get()
 	plan, err := alg.Select(problem)
 	p.planners.Put(alg)
-	hold.Release()
 	if err != nil {
 		p.writeError(w, http.StatusInternalServerError, "plan: %v", err)
 		return

@@ -10,6 +10,7 @@ import (
 	"paydemand/internal/geo"
 	"paydemand/internal/selection"
 	"paydemand/internal/wire"
+	"paydemand/internal/wire/binary"
 )
 
 // planRequest is a valid baseline request tests mutate per case.
@@ -94,9 +95,6 @@ func TestPlanEndpointRejections(t *testing.T) {
 		mut  func(*wire.PlanRequest)
 		code int
 	}{
-		// NaN values are untestable over the wire (encoding/json cannot
-		// produce them), so the handler's IsNaN guards are exercised only
-		// as defense in depth against non-JSON callers of the mux.
 		{"unknown worker", func(r *wire.PlanRequest) { r.UserID = 999 }, http.StatusNotFound},
 		{"zero speed", func(r *wire.PlanRequest) { r.Speed = 0 }, http.StatusBadRequest},
 		{"negative speed", func(r *wire.PlanRequest) { r.Speed = -5 }, http.StatusBadRequest},
@@ -109,6 +107,35 @@ func TestPlanEndpointRejections(t *testing.T) {
 			tc.mut(&req)
 			if code := doJSON(t, srv, http.MethodPost, wire.PathPlan, req, nil); code != tc.code {
 				t.Errorf("code %d, want %d", code, tc.code)
+			}
+		})
+	}
+
+	// encoding/json cannot carry NaN or ±Inf, but the TLV codec carries
+	// IEEE bits, so non-finite parameters reach the handler over TLV.
+	// Infinite speed times a zero time budget is a NaN travel budget.
+	nan, inf := math.NaN(), math.Inf(1)
+	tlvCases := []struct {
+		name string
+		mut  func(*wire.PlanRequest)
+	}{
+		{"NaN speed", func(r *wire.PlanRequest) { r.Speed = nan }},
+		{"+Inf speed", func(r *wire.PlanRequest) { r.Speed = inf }},
+		{"+Inf speed, zero time budget", func(r *wire.PlanRequest) { r.Speed, r.TimeBudget = inf, 0 }},
+		{"NaN time budget", func(r *wire.PlanRequest) { r.TimeBudget = nan }},
+		{"+Inf time budget", func(r *wire.PlanRequest) { r.TimeBudget = inf }},
+		{"-Inf time budget", func(r *wire.PlanRequest) { r.TimeBudget = -inf }},
+		{"NaN cost", func(r *wire.PlanRequest) { r.CostPerMeter = nan }},
+		{"+Inf cost", func(r *wire.PlanRequest) { r.CostPerMeter = inf }},
+		{"NaN location", func(r *wire.PlanRequest) { r.Location = geo.Pt(nan, 500) }},
+	}
+	for _, tc := range tlvCases {
+		t.Run("tlv/"+tc.name, func(t *testing.T) {
+			req := planRequest(reg.UserID)
+			tc.mut(&req)
+			code, body, _ := doTLV(t, srv, http.MethodPost, wire.PathPlan, binary.AppendPlanRequest(nil, &req))
+			if code != http.StatusBadRequest {
+				t.Errorf("code %d, want %d (body %s)", code, http.StatusBadRequest, body)
 			}
 		})
 	}

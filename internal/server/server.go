@@ -96,12 +96,10 @@ type Platform struct {
 	planners *selection.SolverPool
 
 	// eng is the round state machine shared with the simulator: open-task
-	// snapshot, neighbor counting, repricing, shared solver context,
-	// commits, round state. All engine mutations happen under mu; plan
-	// solves that outlive the lock pin the context with eng.HoldContext,
-	// which lets the engine recycle its round scratch (a steady-state
-	// reprice allocates only the mechanism's reward map) without an
-	// in-flight solve ever observing a mutation.
+	// snapshot, neighbor counting, repricing, commits, round state. All
+	// engine mutations happen under mu. Plan solves run outside it on
+	// problems built into per-request buffers, which reference no engine
+	// storage, so the engine recycles its round scratch freely.
 	eng *engine.Engine
 
 	mu      sync.Mutex

@@ -13,7 +13,8 @@ import (
 	"paydemand/internal/task"
 )
 
-// Config mirrors the engine.Config fields New forwards; Shards is ignored.
+// Config mirrors the engine.Config fields New forwards; Shards and
+// DisableContext are ignored.
 type Config struct {
 	Board           *task.Board
 	Mechanism       incentive.Mechanism
@@ -27,12 +28,12 @@ type Config struct {
 	Forecast        incentive.ForecastProvider
 }
 
-// New returns the single round engine over cfg, ignoring cfg.Shards.
+// New returns the single round engine over cfg, ignoring cfg.Shards and
+// cfg.DisableContext.
 func New(cfg Config) (*engine.Engine, error) {
 	return engine.New(engine.Config{
 		Board: cfg.Board, Mechanism: cfg.Mechanism, Area: cfg.Area,
-		NeighborRadius: cfg.NeighborRadius, DisableContext: cfg.DisableContext,
-		RNG: cfg.RNG, Budget: cfg.Budget, BidCostPerMeter: cfg.BidCostPerMeter,
-		Forecast: cfg.Forecast,
+		NeighborRadius: cfg.NeighborRadius, RNG: cfg.RNG, Budget: cfg.Budget,
+		BidCostPerMeter: cfg.BidCostPerMeter, Forecast: cfg.Forecast,
 	})
 }

@@ -187,11 +187,12 @@ type Config struct {
 	// runs on its best route; zero means selection.DefaultBeamImprove.
 	// Negative values are rejected loudly.
 	BeamImprove int `json:"beam_improve"`
-	// DisableRoundContext turns off the per-round shared solver context
-	// (the task-pair distance table computed once per round and reused by
-	// every user's selection call) and recomputes distances per user
-	// instead. Results are bit-for-bit identical either way; the flag
-	// exists for equivalence testing and debugging, not for production.
+	// DisableRoundContext once turned off the per-round shared distance
+	// table the solvers read task-pair distances from. The table was
+	// deleted (every solver computes the distances it needs), so the
+	// simulator ignores the field; results never depended on it.
+	//
+	// Deprecated: ignored by the simulator.
 	DisableRoundContext bool `json:"disable_round_context,omitempty"`
 	// SensingTime is the seconds one measurement takes on site. The paper
 	// assumes it negligible (its default, 0); a positive value consumes

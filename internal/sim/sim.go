@@ -149,7 +149,6 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 		Mechanism:       mech,
 		Area:            sc.Area,
 		NeighborRadius:  cfg.NeighborRadius,
-		DisableContext:  cfg.DisableRoundContext,
 		RequirePriced:   false,
 		RNG:             mechRNG,
 		Budget:          cfg.Budget,

@@ -391,6 +391,19 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsOversizedDPMaxTasks pins the loud failure for the DP
+// overflow misconfiguration at the config layer.
+func TestConfigRejectsOversizedDPMaxTasks(t *testing.T) {
+	cfg := Config{DPMaxTasks: 64}
+	err := cfg.Validate()
+	if err == nil {
+		t.Fatal("DPMaxTasks 64 validated, want error")
+	}
+	if !strings.Contains(err.Error(), "hard cap") {
+		t.Errorf("error %q does not mention the hard cap", err)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	if MechanismOnDemand.String() != "on-demand" || MechanismFixed.String() != "fixed" ||
 		MechanismSteered.String() != "steered" || MechanismEqualWeights.String() != "equal-weights" {
