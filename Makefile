@@ -23,7 +23,7 @@ perfbench-test:
 	cd perfbench && go vet ./... && go test ./...
 
 race:
-	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/
+	go test -race ./internal/experiments/ ./internal/sim/ ./internal/selection/ ./internal/server/ ./internal/engine/ ./internal/client/ ./internal/incentive/ ./internal/mobility/ ./cmd/loadgen/ ./cmd/crowdsim/ ./cmd/worker/
 
 # Aggregate coverage across every package, with a function summary.
 cover:

@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"paydemand/internal/experiments"
 	"paydemand/internal/metrics"
 	"paydemand/internal/sat"
 	"paydemand/internal/sim"
@@ -35,8 +33,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("crowdsim", flag.ContinueOnError)
 	var (
-		mechanism = fs.String("mechanism", "on-demand", "incentive mechanism: on-demand | fixed | steered | equal-weights | deadline-only | progress-only | neighbors-only | auction | incentme")
-		algorithm = fs.String("algorithm", "auto", "task selection: dp | greedy | auto | greedy+2opt | beam")
+		mechanism = fs.String("mechanism", "on-demand", "incentive mechanism: "+sim.Names(sim.MechanismKinds()))
+		algorithm = fs.String("algorithm", "auto", "task selection: "+sim.Names(sim.AlgorithmKinds()))
 		users     = fs.Int("users", workload.DefaultNumUsers, "number of mobile users")
 		tasks     = fs.Int("tasks", workload.DefaultNumTasks, "number of sensing tasks")
 		required  = fs.Int("required", workload.DefaultRequired, "measurements required per task (phi)")
@@ -51,7 +49,7 @@ func run(args []string, out io.Writer) error {
 		sensing   = fs.Float64("sensing-time", 0, "seconds per measurement on site (0 = paper's negligible-sensing assumption)")
 		churn     = fs.Float64("churn", 0, "per-round user replacement probability")
 		jitter    = fs.Float64("budget-jitter", 0, "per-user time budget jitter fraction in [0, 1]")
-		mobility  = fs.String("mobility", "stationary", "between-round movement: stationary | random-waypoint | levy-walk")
+		mobility  = fs.String("mobility", "stationary", "between-round movement: "+sim.Names(sim.MobilityKinds()))
 		compare   = fs.Bool("compare", false, "run on-demand, fixed, steered and the SAT auction side by side")
 		parallel  = fs.Int("parallel", 0, "trial worker goroutines (0 = one per CPU, 1 = sequential); results are identical at any setting")
 		beamWidth = fs.Int("beam-width", 0, "beam search width for beam and auto (0 = solver default)")
@@ -61,15 +59,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	mech, err := parseMechanism(*mechanism)
+	mech, err := sim.ParseMechanism(*mechanism)
 	if err != nil {
 		return err
 	}
-	alg, err := parseAlgorithm(*algorithm)
+	alg, err := sim.ParseAlgorithm(*algorithm)
 	if err != nil {
 		return err
 	}
-	mob, err := parseMobility(*mobility)
+	mob, err := sim.ParseMobility(*mobility)
 	if err != nil {
 		return err
 	}
@@ -94,11 +92,16 @@ func run(args []string, out io.Writer) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	// An average over no trials would print every metric as zero,
+	// indistinguishable from a campaign that collected nothing.
+	if *trials < 1 {
+		return fmt.Errorf("trials %d, want >= 1", *trials)
+	}
 	if *compare {
 		return runComparison(out, cfg, *trials, *seed, *parallel)
 	}
 
-	results, err := forEachTrial(*trials, *parallel, func(i int) (metrics.TrialResult, error) {
+	agg, err := aggregate(*trials, *parallel, func(i int) (metrics.TrialResult, error) {
 		var obs sim.Observer
 		var traceFile *os.File
 		if *tracePath != "" && i == 0 {
@@ -126,10 +129,6 @@ func run(args []string, out io.Writer) error {
 	})
 	if err != nil {
 		return err
-	}
-	var agg metrics.Aggregator
-	for _, res := range results {
-		agg.Add(res)
 	}
 	summary := agg.Summary()
 
@@ -166,74 +165,19 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// forEachTrial runs fn(i) for i in [0, trials) across the given number
-// of worker goroutines (0 = one per CPU, 1 = in the calling goroutine),
-// collecting results into index-ordered slots so aggregation order — and
-// therefore output — is independent of the worker count. The first error
-// cancels trials not yet started. At least one trial is required: an
-// average over none would print every metric as zero, indistinguishable
-// from a campaign that collected nothing.
-func forEachTrial(trials, workers int, fn func(i int) (metrics.TrialResult, error)) ([]metrics.TrialResult, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("trials %d, want >= 1", trials)
+// aggregate runs fn(i) for every trial on the experiment harness's
+// fan-out and folds the results in trial order, so the output is the same
+// at any -parallel setting.
+func aggregate(trials, parallel int, fn func(i int) (metrics.TrialResult, error)) (*metrics.Aggregator, error) {
+	results, err := experiments.FanOut(trials, parallel, nil, fn)
+	if err != nil {
+		return nil, err
 	}
-	if workers < 0 {
-		return nil, fmt.Errorf("parallel %d, want >= 0", workers)
+	var agg metrics.Aggregator
+	for _, res := range results {
+		agg.Add(res)
 	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	out := make([]metrics.TrialResult, trials)
-	if workers <= 1 {
-		for i := 0; i < trials; i++ {
-			res, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		firstIdx = trials
-		wg       sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= trials || stop.Load() {
-					return
-				}
-				res, err := fn(i)
-				if err != nil {
-					stop.Store(true)
-					mu.Lock()
-					if i < firstIdx {
-						firstErr, firstIdx = err, i
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return &agg, nil
 }
 
 // runComparison averages the three incentive mechanisms plus the SAT
@@ -245,15 +189,11 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 	for _, mech := range mechs {
 		mcfg := cfg
 		mcfg.Mechanism = mech
-		results, err := forEachTrial(trials, parallel, func(i int) (metrics.TrialResult, error) {
+		agg, err := aggregate(trials, parallel, func(i int) (metrics.TrialResult, error) {
 			return sim.Run(mcfg, seed+int64(i))
 		})
 		if err != nil {
 			return err
-		}
-		var agg metrics.Aggregator
-		for _, res := range results {
-			agg.Add(res)
 		}
 		summaries = append(summaries, agg.Summary())
 		names = append(names, mech.String())
@@ -266,15 +206,11 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 		CostPerMeter:   cfg.CostPerMeter,
 		Budget:         cfg.Budget,
 	}
-	satResults, err := forEachTrial(trials, parallel, func(i int) (metrics.TrialResult, error) {
+	satAgg, err := aggregate(trials, parallel, func(i int) (metrics.TrialResult, error) {
 		return sat.Run(satCfg, seed+int64(i))
 	})
 	if err != nil {
 		return err
-	}
-	var satAgg metrics.Aggregator
-	for _, res := range satResults {
-		satAgg.Add(res)
 	}
 	summaries = append(summaries, satAgg.Summary())
 	names = append(names, "sat-auction")
@@ -302,44 +238,4 @@ func runComparison(out io.Writer, cfg sim.Config, trials int, seed int64, parall
 	row("task gini (balance)", func(s metrics.Summary) float64 { return s.TaskGini })
 	row("profit gini (fairness)", func(s metrics.Summary) float64 { return s.ProfitGini })
 	return nil
-}
-
-func parseMechanism(s string) (sim.MechanismKind, error) {
-	kinds := []sim.MechanismKind{
-		sim.MechanismOnDemand, sim.MechanismFixed, sim.MechanismSteered,
-		sim.MechanismSteeredRaw, sim.MechanismEqualWeights, sim.MechanismDeadlineOnly,
-		sim.MechanismProgressOnly, sim.MechanismNeighborsOnly,
-		sim.MechanismAuction, sim.MechanismIncentMe,
-	}
-	for _, k := range kinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mechanism %q", s)
-}
-
-func parseMobility(s string) (sim.MobilityKind, error) {
-	kinds := []sim.MobilityKind{
-		sim.MobilityStationary, sim.MobilityRandomWaypoint, sim.MobilityLevyWalk,
-	}
-	for _, k := range kinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mobility %q", s)
-}
-
-func parseAlgorithm(s string) (sim.AlgorithmKind, error) {
-	kinds := []sim.AlgorithmKind{
-		sim.AlgorithmDP, sim.AlgorithmGreedy, sim.AlgorithmAuto, sim.AlgorithmTwoOpt,
-		sim.AlgorithmBeam,
-	}
-	for _, k := range kinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }

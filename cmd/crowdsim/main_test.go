@@ -49,7 +49,8 @@ func TestRunJSON(t *testing.T) {
 }
 
 func TestRunAllMechanismFlags(t *testing.T) {
-	for _, m := range []string{"on-demand", "fixed", "steered", "steered-raw", "equal-weights"} {
+	for _, k := range sim.MechanismKinds() {
+		m := k.String()
 		out := runArgs(t, "-mechanism", m)
 		if !strings.Contains(out, "mechanism="+m) {
 			t.Errorf("mechanism %s not echoed:\n%s", m, out)
@@ -74,6 +75,9 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-algorithm", "bogus"}, &sb); err == nil {
 		t.Error("bogus algorithm accepted")
 	}
+	if err := run([]string{"-parallel", "-1"}, &sb); err == nil {
+		t.Error("negative parallel accepted")
+	}
 	if err := run([]string{"-users", "-4"}, &sb); err == nil {
 		t.Error("negative users accepted")
 	}
@@ -91,33 +95,6 @@ func TestRunTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"kind":"round_start"`) {
 		t.Errorf("trace content wrong: %.100s", data)
-	}
-}
-
-func TestParseMechanismRoundTrips(t *testing.T) {
-	kinds := []sim.MechanismKind{
-		sim.MechanismOnDemand, sim.MechanismFixed, sim.MechanismSteered,
-		sim.MechanismSteeredRaw, sim.MechanismEqualWeights,
-		sim.MechanismDeadlineOnly, sim.MechanismProgressOnly, sim.MechanismNeighborsOnly,
-	}
-	for _, k := range kinds {
-		got, err := parseMechanism(k.String())
-		if err != nil || got != k {
-			t.Errorf("parseMechanism(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-}
-
-func TestParseAlgorithmRoundTrips(t *testing.T) {
-	kinds := []sim.AlgorithmKind{
-		sim.AlgorithmDP, sim.AlgorithmGreedy, sim.AlgorithmAuto, sim.AlgorithmTwoOpt,
-		sim.AlgorithmBeam,
-	}
-	for _, k := range kinds {
-		got, err := parseAlgorithm(k.String())
-		if err != nil || got != k {
-			t.Errorf("parseAlgorithm(%q) = %v, %v", k.String(), got, err)
-		}
 	}
 }
 

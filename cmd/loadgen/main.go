@@ -91,14 +91,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *workers < 1 {
 		return fmt.Errorf("workers %d, want >= 1", *workers)
 	}
-	var codecOpt client.Codec
-	switch *codec {
-	case "json":
-		codecOpt = client.CodecJSON
-	case "tlv":
-		codecOpt = client.CodecTLV
-	default:
-		return fmt.Errorf("unknown codec %q", *codec)
+	codecOpt, err := client.ParseCodec(*codec)
+	if err != nil {
+		return err
 	}
 
 	rng := stats.NewRNG(*seed)

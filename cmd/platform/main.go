@@ -26,6 +26,7 @@ import (
 	"paydemand/internal/incentive"
 	"paydemand/internal/mobility"
 	"paydemand/internal/server"
+	"paydemand/internal/sim"
 	"paydemand/internal/stats"
 	"paydemand/internal/workload"
 )
@@ -49,7 +50,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		nTasks     = fs.Int("tasks", workload.DefaultNumTasks, "number of sensing tasks")
 		required   = fs.Int("required", workload.DefaultRequired, "measurements per task")
 		seed       = fs.Int64("seed", 1, "scenario seed")
-		mechanism  = fs.String("mechanism", "on-demand", "incentive mechanism: on-demand | fixed | steered | auction | incentme")
+		mechanism  = fs.String("mechanism", "on-demand", "incentive mechanism: "+sim.Names(sim.MechanismKinds()))
 		budget     = fs.Float64("budget", 1000, "reward budget B")
 		lambda     = fs.Float64("lambda", 0.5, "per-level reward increment")
 		levels     = fs.Int("levels", 5, "demand levels N")
@@ -65,6 +66,10 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 
+	kind, err := sim.ParseMechanism(*mechanism)
+	if err != nil {
+		return err
+	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	rng := stats.NewRNG(*seed)
 	sc, err := workload.Generate(rng, workload.Config{
@@ -77,25 +82,17 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 
-	scheme, err := incentive.SchemeFromBudget(*budget, *nTasks**required, *lambda, demand.LevelMapper{N: *levels})
+	// Price from the generated tasks, not the flags: the workload fills in
+	// its defaults for -tasks 0 and -required 0.
+	totalRequired := 0
+	for _, t := range sc.Tasks {
+		totalRequired += t.Required
+	}
+	scheme, err := incentive.SchemeFromBudget(*budget, totalRequired, *lambda, demand.LevelMapper{N: *levels})
 	if err != nil {
 		return err
 	}
-	var mech incentive.Mechanism
-	switch *mechanism {
-	case "on-demand":
-		mech, err = incentive.NewPaperOnDemand(scheme)
-	case "fixed":
-		mech, err = incentive.NewFixed(scheme)
-	case "steered":
-		mech, err = incentive.NewBudgetScaledSteered(scheme.MaxReward())
-	case "auction":
-		mech, err = incentive.NewAuction(), nil
-	case "incentme":
-		mech, err = incentive.NewIncentMe(scheme)
-	default:
-		return fmt.Errorf("unknown mechanism %q", *mechanism)
-	}
+	mech, err := sim.NewMechanism(kind, scheme)
 	if err != nil {
 		return err
 	}
@@ -168,7 +165,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("platform listening", "addr", listener.Addr().String(), "tasks", *nTasks, "mechanism", *mechanism)
+		logger.Info("platform listening", "addr", listener.Addr().String(), "tasks", len(sc.Tasks), "mechanism", kind)
 		if err := httpServer.Serve(listener); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 			return

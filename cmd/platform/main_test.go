@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"paydemand/internal/sim"
 	"paydemand/internal/wire"
 )
 
@@ -140,18 +141,66 @@ func TestPlatformStatePersistence(t *testing.T) {
 	}
 }
 
+// TestPlatformMechanismVariants serves every simulator mechanism kind.
+// One worker registers before the round advances, so the auction has a
+// bid to clear and every kind prices all four tasks in round 2.
 func TestPlatformMechanismVariants(t *testing.T) {
-	for _, mech := range []string{"fixed", "steered"} {
+	for _, kind := range sim.MechanismKinds() {
+		mech := kind.String()
 		base, stop := startPlatform(t, "-round-every", "0", "-mechanism", mech)
+		for _, req := range []struct{ path, body string }{
+			{wire.PathRegister, `{"location":{"x":1,"y":1}}`},
+			{wire.PathAdvance, ``},
+		} {
+			resp, err := http.Post(base+req.path, "application/json", strings.NewReader(req.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: POST %s = %d", mech, req.path, resp.StatusCode)
+			}
+		}
 		var round wire.RoundInfo
 		if code := getJSON(t, base+wire.PathRound, &round); code != 200 {
 			t.Fatalf("%s: round = %d", mech, code)
 		}
-		if len(round.Tasks) != 4 {
-			t.Errorf("%s: %d tasks", mech, len(round.Tasks))
+		if round.Round != 2 || len(round.Tasks) != 4 {
+			t.Errorf("%s: round %d with %d tasks, want round 2 with 4", mech, round.Round, len(round.Tasks))
 		}
 		if err := stop(); err != nil {
 			t.Fatalf("%s: shutdown: %v", mech, err)
+		}
+	}
+}
+
+// TestPlatformDefaultPopulation pins that -tasks 0 and -required 0 mean
+// the workload defaults for pricing too: the scheme is priced from the
+// generated tasks, not from the flag values.
+func TestPlatformDefaultPopulation(t *testing.T) {
+	for _, flag := range []string{"-tasks", "-required"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ready := make(chan string, 1)
+		errCh := make(chan error, 1)
+		go func() {
+			errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", "-round-every", "0", flag, "0"}, ready)
+		}()
+		select {
+		case addr := <-ready:
+			var status wire.StatusResponse
+			if code := getJSON(t, "http://"+addr+wire.PathStatus, &status); code != 200 {
+				t.Errorf("%s 0: status = %d", flag, code)
+			}
+			if status.OpenTasks == 0 {
+				t.Errorf("%s 0: no open tasks: %+v", flag, status)
+			}
+			cancel()
+			if err := <-errCh; err != nil {
+				t.Errorf("%s 0: shutdown: %v", flag, err)
+			}
+		case err := <-errCh:
+			cancel()
+			t.Errorf("%s 0: platform exited early: %v", flag, err)
 		}
 	}
 }

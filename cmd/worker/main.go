@@ -22,7 +22,7 @@ import (
 
 	"paydemand/internal/client"
 	"paydemand/internal/geo"
-	"paydemand/internal/selection"
+	"paydemand/internal/sim"
 	"paydemand/internal/stats"
 )
 
@@ -45,7 +45,7 @@ func run(ctx context.Context, args []string) error {
 		area        = fs.Float64("area", 3000, "square area side for initial placement")
 		speed       = fs.Float64("speed", 2, "walking speed m/s")
 		timeBudget  = fs.Float64("time-budget", 600, "per-round time budget seconds")
-		algorithm   = fs.String("algorithm", "auto", "selection algorithm: dp | greedy | auto | greedy+2opt | beam")
+		algorithm   = fs.String("algorithm", "auto", "selection algorithm: "+sim.Names(sim.AlgorithmKinds()))
 		poll        = fs.Duration("poll", 200*time.Millisecond, "round poll interval")
 		codec       = fs.String("codec", "json", "wire codec for the hot endpoints: json | tlv")
 	)
@@ -55,14 +55,13 @@ func run(ctx context.Context, args []string) error {
 	if *count < 1 {
 		return fmt.Errorf("count %d, want >= 1", *count)
 	}
-	var codecOpt client.Codec
-	switch *codec {
-	case "json":
-		codecOpt = client.CodecJSON
-	case "tlv":
-		codecOpt = client.CodecTLV
-	default:
-		return fmt.Errorf("unknown codec %q", *codec)
+	codecOpt, err := client.ParseCodec(*codec)
+	if err != nil {
+		return err
+	}
+	kind, err := sim.ParseAlgorithm(*algorithm)
+	if err != nil {
+		return err
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -70,23 +69,6 @@ func run(ctx context.Context, args []string) error {
 		client.WithCodec(codecOpt),
 		client.WithMaxIdleConnsPerHost(*count))
 	rng := stats.NewRNG(*seed)
-
-	newAlgorithm := func() (selection.Algorithm, error) {
-		switch *algorithm {
-		case "dp":
-			return &selection.DP{}, nil
-		case "greedy":
-			return &selection.Greedy{}, nil
-		case "auto":
-			return &selection.Auto{}, nil
-		case "greedy+2opt":
-			return &selection.TwoOptGreedy{}, nil
-		case "beam":
-			return &selection.Beam{}, nil
-		default:
-			return nil, fmt.Errorf("unknown algorithm %q", *algorithm)
-		}
-	}
 
 	// Simulated noise sensor: a smooth spatial field plus per-reading
 	// jitter, in dBA.
@@ -102,7 +84,9 @@ func run(ctx context.Context, args []string) error {
 	var wg sync.WaitGroup
 	errCh := make(chan error, *count)
 	for i := 0; i < *count; i++ {
-		alg, err := newAlgorithm()
+		// Each worker gets its own solver: solvers keep scratch between
+		// calls and are not safe for concurrent use.
+		alg, err := sim.NewAlgorithm(kind, 0, 0, 0)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +81,9 @@ func TestWorkerBadFlags(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-algorithm", "bogus", "-platform", "http://127.0.0.1:1"}); err == nil {
 		t.Error("bogus algorithm accepted")
+	}
+	if err := run(ctx, []string{"-codec", "bogus", "-platform", "http://127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "codec") {
+		t.Errorf("bogus codec: err = %v, want an unknown-codec error", err)
 	}
 	if err := run(ctx, []string{"-nope"}); err == nil {
 		t.Error("unknown flag accepted")

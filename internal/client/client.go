@@ -38,6 +38,18 @@ const (
 	CodecTLV
 )
 
+// ParseCodec returns the codec named name: "json" or "tlv".
+func ParseCodec(name string) (Codec, error) {
+	switch name {
+	case "json":
+		return CodecJSON, nil
+	case "tlv":
+		return CodecTLV, nil
+	default:
+		return 0, fmt.Errorf("client: unknown codec %q (valid: json | tlv)", name)
+	}
+}
+
 // DefaultMaxIdleConnsPerHost sizes the default transport's idle
 // connection pool. Every request from this client targets one host (the
 // platform), so per-host is the binding limit; size it to the worker

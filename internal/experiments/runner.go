@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -8,61 +9,41 @@ import (
 )
 
 // This file implements the shared trial-execution engine behind every
-// figure runner. A figure sweep is a grid of (configuration, trial)
-// pairs whose seeds derive deterministically from (Options.Seed,
-// configuration, trial), so the pairs are independent and can run in any
-// order — the engine fans them across a worker pool and collects results
-// into index-ordered slots, making the aggregated output identical to
-// the sequential nested loops at any parallelism level.
+// figure runner and the crowdsim CLI. A figure sweep is a grid of
+// (configuration, trial) pairs whose seeds derive deterministically from
+// (Options.Seed, configuration, trial), so the pairs are independent and
+// can run in any order — the engine fans them across a worker pool and
+// collects results into index-ordered slots, making the aggregated output
+// identical to the sequential nested loops at any parallelism level.
 
-// workers resolves Options.Parallelism to a concrete worker count:
-// zero means one worker per available CPU, one preserves the historical
-// sequential behavior exactly (same goroutine, no pool).
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
+// FanOut runs fn(i) for every i in [0, n) across workers goroutines and
+// returns the results indexed as out[i], so everything aggregated from
+// them in order does not depend on the worker count. Zero workers means
+// one per available CPU (GOMAXPROCS); one runs every job on the calling
+// goroutine, in order, with no pool. The first error — first in index
+// order among the jobs that failed — is returned and cancels jobs not
+// yet started; in-flight jobs finish but their results are discarded.
+// progress, when non-nil, is called after every finished job with the
+// completed count and n; calls are serialized and counts increase by one.
+func FanOut[T any](n, workers int, progress func(done, total int), fn func(i int) (T, error)) ([]T, error) {
+	if workers < 0 {
+		return nil, fmt.Errorf("experiments: workers %d, want >= 0 (0 = GOMAXPROCS)", workers)
 	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runTrials executes run(config, trial) for every pair in
-// [0, configs) x [0, o.Trials) and returns the results indexed as
-// out[config][trial]. Jobs are distributed across o.workers()
-// goroutines; the result layout (and therefore everything aggregated
-// from it in order) does not depend on the worker count. The first
-// error — first in (config, trial) order among the jobs that failed —
-// is returned and cancels jobs not yet started; in-flight trials finish
-// but their results are discarded.
-func runTrials[T any](o Options, configs int, run func(config, trial int) (T, error)) ([][]T, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	out := make([][]T, configs)
-	for c := range out {
-		out[c] = make([]T, o.Trials)
-	}
-	total := configs * o.Trials
-	if total == 0 {
-		return out, nil
-	}
-	workers := o.workers()
-	if workers > total {
-		workers = total
-	}
+	workers = min(workers, n)
+	out := make([]T, n)
 
 	if workers <= 1 {
-		done := 0
-		for c := 0; c < configs; c++ {
-			for t := 0; t < o.Trials; t++ {
-				v, err := run(c, t)
-				if err != nil {
-					return nil, err
-				}
-				out[c][t] = v
-				done++
-				if o.Progress != nil {
-					o.Progress(done, total)
-				}
+		for i := range out {
+			v, err := fn(i)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+			if progress != nil {
+				progress(i+1, n)
 			}
 		}
 		return out, nil
@@ -73,7 +54,7 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 		stop atomic.Bool  // set on first failure; unclaimed jobs exit
 
 		// mu guards firstErr/firstErrIdx and the done count, which is
-		// bumped and reported under one hold so Progress sees 1, 2, ...
+		// bumped and reported under one hold so progress sees 1, 2, ...
 		// in order.
 		mu          sync.Mutex
 		firstErr    error
@@ -89,27 +70,26 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 			defer wg.Done()
 			for {
 				idx := int(next.Add(1))
-				if idx >= total || stop.Load() {
+				if idx >= n || stop.Load() {
 					return
 				}
-				c, t := idx/o.Trials, idx%o.Trials
-				v, err := run(c, t)
+				v, err := fn(idx)
 				if err != nil {
 					stop.Store(true)
 					mu.Lock()
 					// Keep the error of the earliest job so the report is
-					// stable when several trials fail concurrently.
+					// stable when several jobs fail concurrently.
 					if idx < firstErrIdx {
 						firstErr, firstErrIdx = err, idx
 					}
 					mu.Unlock()
 					return
 				}
-				out[c][t] = v
-				if o.Progress != nil {
+				out[idx] = v
+				if progress != nil {
 					mu.Lock()
 					done++
-					o.Progress(done, total)
+					progress(done, n)
 					mu.Unlock()
 				}
 			}
@@ -118,6 +98,26 @@ func runTrials[T any](o Options, configs int, run func(config, trial int) (T, er
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	return out, nil
+}
+
+// runTrials executes run(config, trial) for every pair in
+// [0, configs) x [0, o.Trials) on FanOut, at o.Parallelism workers with
+// o.Progress, and returns the results indexed as out[config][trial].
+func runTrials[T any](o Options, configs int, run func(config, trial int) (T, error)) ([][]T, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	flat, err := FanOut(configs*o.Trials, o.Parallelism, o.Progress, func(i int) (T, error) {
+		return run(i/o.Trials, i%o.Trials)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]T, configs)
+	for c := range out {
+		out[c] = flat[c*o.Trials : (c+1)*o.Trials : (c+1)*o.Trials]
 	}
 	return out, nil
 }

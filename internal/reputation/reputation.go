@@ -45,10 +45,12 @@ func NewTracker(alpha, initial float64) (*Tracker, error) {
 	if initial == 0 {
 		initial = DefaultInitial
 	}
-	if alpha <= 0 || alpha > 1 {
+	// Negated range checks reject NaN too, which would otherwise make
+	// every score it touches NaN forever.
+	if !(alpha > 0 && alpha <= 1) {
 		return nil, fmt.Errorf("reputation: alpha %v, want in (0, 1]", alpha)
 	}
-	if initial < 0 || initial > 1 {
+	if !(initial >= 0 && initial <= 1) {
 		return nil, fmt.Errorf("reputation: initial score %v, want in [0, 1]", initial)
 	}
 	return &Tracker{

@@ -3,6 +3,7 @@ package reputation
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"paydemand/internal/stats"
@@ -29,6 +30,14 @@ func TestNewTrackerValidation(t *testing.T) {
 	}
 	if _, err := NewTracker(0.2, -0.5); err == nil {
 		t.Error("negative initial accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewTracker(bad, 0); err == nil || !strings.Contains(err.Error(), "alpha") {
+			t.Errorf("alpha %v: err = %v, want an alpha error", bad, err)
+		}
+		if _, err := NewTracker(0, bad); err == nil || !strings.Contains(err.Error(), "initial") {
+			t.Errorf("initial %v: err = %v, want an initial-score error", bad, err)
+		}
 	}
 	tr, err := NewTracker(0, 0)
 	if err != nil {

@@ -16,11 +16,11 @@ const (
 	// benchmark grid.
 	DefaultBeamImprove = 2
 	// BeamExactMaxTasks is the largest filtered instance Beam solves
-	// exactly by delegating to the Held-Karp DP over the same shared
-	// round context. The DP table at this size is 2^10 x 10 entries
-	// (~80 KB), far below any pruning payoff, and the delegation gives
-	// the solver a provable contract on small instances: Beam equals the
-	// optimum wherever the fuzz harness can afford to cross-check it.
+	// exactly by delegating to the Held-Karp DP over the same Problem.
+	// The DP table at this size is 2^10 x 10 entries (~80 KB), far below
+	// any pruning payoff, and the delegation gives the solver a provable
+	// contract on small instances: Beam equals the optimum wherever the
+	// fuzz harness can afford to cross-check it.
 	BeamExactMaxTasks = 10
 )
 
@@ -121,8 +121,8 @@ func (bm *Beam) selectValidated(p *Problem) (Plan, error) {
 		return bm.dp.selectValidated(p)
 	}
 
-	// Distance tables over the filtered candidates, shared by the search,
-	// the greedy floor, and the polish passes via Problem lookups.
+	// Distance tables over the filtered candidates for the search; the
+	// greedy floor and the polish passes compute their legs with legDist.
 	bm.startDist = growFloats(bm.startDist, m)
 	bm.dist = growFloats(bm.dist, m*m)
 	startDist, dist := bm.startDist, bm.dist

@@ -220,11 +220,10 @@ func recordReason(err error) string {
 }
 
 // handlePlan solves a worker's task selection problem against the current
-// round's published rewards. The round state (candidates, shared distance
-// context, round number) is snapshotted under the lock, but the solve
-// itself runs outside it on a pooled solver, so any number of workers can
-// plan concurrently without serializing behind each other or blocking
-// uploads.
+// round's published rewards. The round state (candidates and round number)
+// is snapshotted under the lock, but the solve itself runs outside it on a
+// pooled solver, so any number of workers can plan concurrently without
+// serializing behind each other or blocking uploads.
 func (p *Platform) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req wire.PlanRequest
 	if contentIsTLV(r) {

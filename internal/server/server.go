@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
@@ -157,8 +158,13 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.ReputationTolerance == 0 {
 		cfg.ReputationTolerance = 5
 	}
-	if cfg.ReputationTolerance < 0 {
-		return nil, fmt.Errorf("server: reputation tolerance %v, want > 0", cfg.ReputationTolerance)
+	// NaN passes ordered range checks; a non-finite tolerance makes every
+	// reputation score NaN, and a NaN hard budget disables the payment cap.
+	if !(cfg.ReputationTolerance > 0) || math.IsInf(cfg.ReputationTolerance, 1) {
+		return nil, fmt.Errorf("server: reputation tolerance %v, want finite > 0", cfg.ReputationTolerance)
+	}
+	if math.IsNaN(cfg.HardBudget) || math.IsInf(cfg.HardBudget, 0) {
+		return nil, fmt.Errorf("server: hard budget %v, want a finite value (<= 0 = no cap)", cfg.HardBudget)
 	}
 	planner := cfg.Planner
 	if planner == nil {

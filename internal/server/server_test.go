@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"paydemand/internal/demand"
@@ -89,6 +91,16 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Mechanism: mech, Area: geo.Square(10), NeighborRadius: 0}); err == nil {
 		t.Error("zero radius accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{Mechanism: mech, Area: geo.Square(10), NeighborRadius: 10, ReputationTolerance: bad}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "reputation tolerance") {
+			t.Errorf("reputation tolerance %v: err = %v", bad, err)
+		}
+		cfg = Config{Mechanism: mech, Area: geo.Square(10), NeighborRadius: 10, HardBudget: bad}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "hard budget") {
+			t.Errorf("hard budget %v: err = %v", bad, err)
+		}
 	}
 }
 

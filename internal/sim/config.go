@@ -8,8 +8,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 
-	"paydemand/internal/demand"
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
 	"paydemand/internal/mobility"
@@ -54,17 +54,80 @@ const (
 	MechanismIncentMe
 )
 
-// mechanismKinds lists every valid kind in declaration order, for
-// validation messages and CLI parsing.
-var mechanismKinds = []MechanismKind{
-	MechanismOnDemand, MechanismFixed, MechanismSteered, MechanismSteeredRaw,
-	MechanismEqualWeights, MechanismDeadlineOnly, MechanismProgressOnly,
-	MechanismNeighborsOnly, MechanismAuction, MechanismIncentMe,
-}
+// The kind tables: every valid kind of each choice in declaration order.
+// Validation, parsing, and CLI flag help all read these lists.
+var (
+	mechanismKinds = []MechanismKind{
+		MechanismOnDemand, MechanismFixed, MechanismSteered, MechanismSteeredRaw,
+		MechanismEqualWeights, MechanismDeadlineOnly, MechanismProgressOnly,
+		MechanismNeighborsOnly, MechanismAuction, MechanismIncentMe,
+	}
+	algorithmKinds = []AlgorithmKind{
+		AlgorithmDP, AlgorithmGreedy, AlgorithmAuto, AlgorithmTwoOpt, AlgorithmBeam,
+	}
+	mobilityKinds = []MobilityKind{
+		MobilityStationary, MobilityRandomWaypoint, MobilityLevyWalk,
+	}
+)
 
 // MechanismKinds returns every valid mechanism kind in declaration order.
 func MechanismKinds() []MechanismKind {
 	return append([]MechanismKind(nil), mechanismKinds...)
+}
+
+// AlgorithmKinds returns every valid algorithm kind in declaration order.
+func AlgorithmKinds() []AlgorithmKind {
+	return append([]AlgorithmKind(nil), algorithmKinds...)
+}
+
+// MobilityKinds returns every valid mobility kind in declaration order.
+func MobilityKinds() []MobilityKind {
+	return append([]MobilityKind(nil), mobilityKinds...)
+}
+
+// Names renders kinds by name for flag help and error messages:
+// "on-demand | fixed | ...".
+func Names[K fmt.Stringer](kinds []K) string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.String()
+	}
+	return strings.Join(names, " | ")
+}
+
+// ParseMechanism returns the mechanism kind named name (its String form).
+func ParseMechanism(name string) (MechanismKind, error) {
+	return parseKind("mechanism", name, mechanismKinds)
+}
+
+// ParseAlgorithm returns the algorithm kind named name (its String form).
+func ParseAlgorithm(name string) (AlgorithmKind, error) {
+	return parseKind("algorithm", name, algorithmKinds)
+}
+
+// ParseMobility returns the mobility kind named name (its String form).
+func ParseMobility(name string) (MobilityKind, error) {
+	return parseKind("mobility", name, mobilityKinds)
+}
+
+func parseKind[K fmt.Stringer](what, name string, kinds []K) (K, error) {
+	for _, k := range kinds {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	var zero K
+	return zero, fmt.Errorf("sim: unknown %s %q (valid: %s)", what, name, Names(kinds))
+}
+
+// validKind reports whether k is in kinds.
+func validKind[K comparable](k K, kinds []K) bool {
+	for _, v := range kinds {
+		if k == v {
+			return true
+		}
+	}
+	return false
 }
 
 // String implements fmt.Stringer.
@@ -372,16 +435,14 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("sim: shards %d, want >= 0 (the field is deprecated and ignored)", c.Shards)
 	}
-	switch c.Mobility {
-	case MobilityStationary, MobilityRandomWaypoint, MobilityLevyWalk:
-	default:
-		return fmt.Errorf("sim: unknown mobility %v", c.Mobility)
+	if !validKind(c.Mobility, mobilityKinds) {
+		return fmt.Errorf("sim: unknown mobility %v (valid: %s)", c.Mobility, Names(mobilityKinds))
 	}
 	if c.MobilityUncertainty < 0 || c.MobilityUncertainty > 1 {
 		return fmt.Errorf("sim: mobility uncertainty %v, want in [0, 1]", c.MobilityUncertainty)
 	}
-	if !validMechanism(c.Mechanism) {
-		return fmt.Errorf("sim: unknown mechanism %v (valid kinds: %s)", c.Mechanism, mechanismKindList())
+	if !validKind(c.Mechanism, mechanismKinds) {
+		return fmt.Errorf("sim: unknown mechanism %v (valid: %s)", c.Mechanism, Names(mechanismKinds))
 	}
 	// Cross-check the mechanism's declared capabilities against the knobs
 	// that supply them, so an unsatisfiable configuration fails here with
@@ -403,29 +464,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// validMechanism reports whether k is a recognized mechanism kind.
-func validMechanism(k MechanismKind) bool {
-	for _, v := range mechanismKinds {
-		if k == v {
-			return true
-		}
-	}
-	return false
-}
-
-// mechanismKindList renders every valid kind for error messages:
-// "on-demand, fixed, ...".
-func mechanismKindList() string {
-	s := ""
-	for i, k := range mechanismKinds {
-		if i > 0 {
-			s += ", "
-		}
-		s += k.String()
-	}
-	return s
-}
-
 // buildMobility constructs the configured mobility model over the area.
 func (c Config) buildMobility(area geo.Rect) (mobility.Model, error) {
 	switch c.Mobility {
@@ -440,18 +478,14 @@ func (c Config) buildMobility(area geo.Rect) (mobility.Model, error) {
 	}
 }
 
-// buildMechanism constructs the configured incentive mechanism.
-// totalRequired is the campaign's total measurement requirement (for
-// Eq. 9). Capability inputs — the fixed mechanism's RNG, the auction's
-// bids and budget, the forecast — are not baked in here: they reach the
-// mechanism per round through the engine's RoundInput assembly.
-func (c Config) buildMechanism(totalRequired int) (incentive.Mechanism, error) {
-	levels := demand.LevelMapper{N: c.DemandLevels}
-	scheme, err := incentive.SchemeFromBudget(c.Budget, totalRequired, c.RewardLambda, levels)
-	if err != nil {
-		return nil, err
-	}
-	switch c.Mechanism {
+// NewMechanism constructs the incentive mechanism of the given kind over
+// scheme, the reward scheme priced from the campaign budget (Eq. 9;
+// steered-raw and the auction ignore it). Capability inputs — the fixed
+// mechanism's RNG, the auction's bids and budget, the forecast — are not
+// baked in here: they reach the mechanism per round through the engine's
+// RoundInput assembly.
+func NewMechanism(kind MechanismKind, scheme incentive.RewardScheme) (incentive.Mechanism, error) {
+	switch kind {
 	case MechanismOnDemand:
 		return incentive.NewPaperOnDemand(scheme)
 	case MechanismFixed:
@@ -473,28 +507,32 @@ func (c Config) buildMechanism(totalRequired int) (incentive.Mechanism, error) {
 	case MechanismIncentMe:
 		return incentive.NewIncentMe(scheme)
 	default:
-		return nil, fmt.Errorf("sim: unknown mechanism %v (valid kinds: %s)", c.Mechanism, mechanismKindList())
+		return nil, fmt.Errorf("sim: unknown mechanism %v (valid: %s)", kind, Names(mechanismKinds))
 	}
 }
 
-// buildAlgorithm constructs the configured selection algorithm.
-func (c Config) buildAlgorithm() (selection.Algorithm, error) {
-	switch c.Algorithm {
+// NewAlgorithm constructs a fresh selection solver of the given kind. The
+// tuning knobs mean what the Config fields of the same names mean, zero
+// selecting each solver's default: dpMaxTasks caps the exact DP (and is
+// Auto's exact-band threshold), beamWidth and beamImprove tune the beam
+// (alone or as Auto's mid band).
+func NewAlgorithm(kind AlgorithmKind, dpMaxTasks, beamWidth, beamImprove int) (selection.Algorithm, error) {
+	switch kind {
 	case AlgorithmDP:
-		return &selection.DP{MaxTasks: c.DPMaxTasks}, nil
+		return &selection.DP{MaxTasks: dpMaxTasks}, nil
 	case AlgorithmGreedy:
 		return &selection.Greedy{}, nil
 	case AlgorithmAuto:
 		return &selection.Auto{
-			Threshold:   c.DPMaxTasks,
-			BeamWidth:   c.BeamWidth,
-			BeamImprove: c.BeamImprove,
+			Threshold:   dpMaxTasks,
+			BeamWidth:   beamWidth,
+			BeamImprove: beamImprove,
 		}, nil
 	case AlgorithmTwoOpt:
 		return &selection.TwoOptGreedy{}, nil
 	case AlgorithmBeam:
-		return &selection.Beam{Width: c.BeamWidth, Improve: c.BeamImprove}, nil
+		return &selection.Beam{Width: beamWidth, Improve: beamImprove}, nil
 	default:
-		return nil, fmt.Errorf("sim: unknown algorithm %v", c.Algorithm)
+		return nil, fmt.Errorf("sim: unknown algorithm %v (valid: %s)", kind, Names(algorithmKinds))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"paydemand/internal/agent"
+	"paydemand/internal/demand"
 	"paydemand/internal/engine"
 	"paydemand/internal/geo"
 	"paydemand/internal/incentive"
@@ -25,11 +26,10 @@ type Observer interface {
 	// reprice: observers that keep it past the call must copy it.
 	RoundStart(round int, rewards map[task.ID]float64)
 	// UserPlanned fires after each user's task selection, whether or not
-	// the plan is empty. The problem (including its Candidates slice and
-	// shared round context) is backed by simulation-owned buffers that are
-	// reused for the next user: it is valid only for the duration of the
-	// call, so observers that retain it must copy what they keep. The plan
-	// is the observer's to keep.
+	// the plan is empty. The problem's Candidates slice is backed by a
+	// simulation-owned buffer that is reused for the next user: it is
+	// valid only for the duration of the call, so observers that retain
+	// it must copy what they keep. The plan is the observer's to keep.
 	UserPlanned(round int, userID int, problem selection.Problem, plan selection.Plan)
 	// RoundEnd fires after all users have acted, with the round's stats.
 	RoundEnd(round int, stats metrics.RoundStats)
@@ -76,7 +76,7 @@ type Simulation struct {
 	// (see Observer.UserPlanned for the resulting aliasing rules), the
 	// idle-time tracker, and the user-location slice fed to the engine's
 	// reprice. The round-level scratch — open snapshot, neighbor grid, task
-	// views, shared solver context — lives inside the engine.
+	// views — lives inside the engine.
 	candBuf  []selection.Candidate
 	idleBuf  []float64
 	userLocs []geo.Point
@@ -118,11 +118,16 @@ func NewFromScenario(cfg Config, sc workload.Scenario, seed int64) (*Simulation,
 	if err != nil {
 		return nil, err
 	}
-	mech, err := cfg.buildMechanism(board.TotalRequired())
+	scheme, err := incentive.SchemeFromBudget(cfg.Budget, board.TotalRequired(),
+		cfg.RewardLambda, demand.LevelMapper{N: cfg.DemandLevels})
 	if err != nil {
 		return nil, err
 	}
-	alg, err := cfg.buildAlgorithm()
+	mech, err := NewMechanism(cfg.Mechanism, scheme)
+	if err != nil {
+		return nil, err
+	}
+	alg, err := NewAlgorithm(cfg.Algorithm, cfg.DPMaxTasks, cfg.BeamWidth, cfg.BeamImprove)
 	if err != nil {
 		return nil, err
 	}
@@ -374,8 +379,8 @@ func (s *Simulation) runUsers(k int, perm []int, obs Observer, rs *metrics.Round
 // problemFor assembles one user's selection problem for the current round
 // over the shared s.candBuf scratch (see Observer.UserPlanned for the
 // resulting aliasing rules). The engine supplies the round-dependent half
-// — candidates in board order, this round's prices, the shared solver
-// context — so the simulation is deterministic under a seed.
+// — candidates in board order and this round's prices — so the simulation
+// is deterministic under a seed.
 func (s *Simulation) problemFor(u *agent.User) selection.Problem {
 	var p selection.Problem
 	p, s.candBuf = s.eng.ProblemInto(engine.Spec{

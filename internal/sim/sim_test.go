@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"paydemand/internal/demand"
+	"paydemand/internal/incentive"
 	"paydemand/internal/metrics"
 	"paydemand/internal/selection"
 	"paydemand/internal/task"
@@ -419,6 +421,75 @@ func TestKindStrings(t *testing.T) {
 	}
 	if AlgorithmKind(99).String() != "AlgorithmKind(99)" {
 		t.Error("unknown algorithm string wrong")
+	}
+}
+
+// TestKindTables pins the one table per choice: every mechanism,
+// algorithm, and mobility kind round-trips through its Parse function by
+// name and validates, and an unknown name is rejected with an error that
+// lists every valid name.
+func TestKindTables(t *testing.T) {
+	t.Run("mechanism", func(t *testing.T) {
+		checkKindTable(t, MechanismKinds(), ParseMechanism, func(c *Config, k MechanismKind) { c.Mechanism = k })
+	})
+	t.Run("algorithm", func(t *testing.T) {
+		checkKindTable(t, AlgorithmKinds(), ParseAlgorithm, func(c *Config, k AlgorithmKind) { c.Algorithm = k })
+	})
+	t.Run("mobility", func(t *testing.T) {
+		checkKindTable(t, MobilityKinds(), ParseMobility, func(c *Config, k MobilityKind) { c.Mobility = k })
+	})
+}
+
+func checkKindTable[K interface {
+	comparable
+	fmt.Stringer
+}](t *testing.T, kinds []K, parse func(string) (K, error), set func(*Config, K)) {
+	t.Helper()
+	for _, k := range kinds {
+		if got, err := parse(k.String()); err != nil || got != k {
+			t.Errorf("Parse(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+		cfg := smallConfig()
+		set(&cfg, k)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%v: Validate: %v", k, err)
+		}
+	}
+	_, err := parse("bogus")
+	if err == nil {
+		t.Fatal("bogus name accepted")
+	}
+	for _, k := range kinds {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("error %q does not list %q", err, k)
+		}
+	}
+}
+
+// TestConstructorsCoverKinds checks that NewMechanism and NewAlgorithm
+// build every kind in the tables, and reject a kind outside them.
+func TestConstructorsCoverKinds(t *testing.T) {
+	scheme, err := incentive.SchemeFromBudget(DefaultBudget, 100, DefaultRewardLambda,
+		demand.LevelMapper{N: DefaultDemandLevels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range MechanismKinds() {
+		if m, err := NewMechanism(k, scheme); err != nil || m == nil {
+			t.Errorf("NewMechanism(%v) = %v, %v", k, m, err)
+		}
+	}
+	if _, err := NewMechanism(MechanismKind(99), scheme); err == nil {
+		t.Error("NewMechanism accepted an unknown kind")
+	}
+	for _, k := range AlgorithmKinds() {
+		alg, err := NewAlgorithm(k, 0, 0, 0)
+		if err != nil || alg.Name() != k.String() {
+			t.Errorf("NewAlgorithm(%v) = %v, %v", k, alg, err)
+		}
+	}
+	if _, err := NewAlgorithm(AlgorithmKind(99), 0, 0, 0); err == nil {
+		t.Error("NewAlgorithm accepted an unknown kind")
 	}
 }
 
